@@ -65,7 +65,6 @@ from .harness import (
 from .model import (
     Constant,
     CustomTable,
-    Measurement,
     NoiseModel,
     PeriodicList,
     RecursiveCosine,
@@ -96,7 +95,6 @@ __all__ = [
     "Constant",
     "CustomTable",
     "NoiseModel",
-    "Measurement",
     "regressor_at",
     "sample_noise",
     "noise_block",

@@ -73,7 +73,7 @@ __all__ = [
     "check_scenario",
 ]
 
-CHUNK_RUNS = 64
+CHUNK_RUNS = 256
 
 
 class ScenarioError(ValueError):
@@ -452,55 +452,65 @@ class MonteCarloAggregate:
     var_tilde: np.ndarray        # (n, K+1, d)
 
 
-def _chunk_sums(args: tuple[Scenario, tuple[int, ...], int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized engine: simulate one chunk of runs, return its raw sums.
+def _chunk_sums(args: tuple[Scenario, StepTables, tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized engine: simulate one chunk of runs, return its moment sums.
 
-    Replays, elementwise across runs, the exact float operations of
-    run_single: same neighborhood order, same accumulation order, same update
-    expression. Returns (sum_err, sum_tilde, sum_sq) over the chunk's runs.
+    Replays, elementwise across runs and sensors, the exact float operations
+    of run_single: neighbours in ascending order, the same update
+    expression, and sensors whose gated sum is zero left untouched. Only
+    steps where some sensor updates are visited; the per-step sums of the
+    other steps repeat the last visited ones. Returns (sum_err, sum_tilde,
+    m2): the chunk's sums of the error norm and of theta_hat - theta, and
+    the sum of squared deviations of theta_hat - theta from the chunk mean.
     """
-    s, seeds, K = args
-    tables = step_tables(s, K)
-    n, d, m = s.n, s.d, len(seeds)
-    noise = np.empty((n, K, m))
+    s, tables, seeds = args
+    n, d, m, K = s.n, s.d, len(seeds), tables.horizon
+    y = np.empty((n, K, m))
     for r, seed in enumerate(seeds):
         nm = NoiseModel(variances=s.variances, seed=seed)
         for j in range(1, n + 1):
-            noise[j - 1, :, r] = noise_block(nm, j, K)
-    y = tables.y_det[:, :, None] + noise  # (n, K, m)
-    ybar = np.zeros((n, K, m, d))
-    for j in range(n):
-        for k in range(d - 1, K):
-            for r in range(d):
-                ybar[j, k] += y[j, k - r][:, None] * tables.adj[j, k][None, :, r]
+            y[j - 1, :, r] = tables.y_det[j - 1] + noise_block(nm, j, K)
+    # closed neighbourhoods padded to a common width (index -1) with zero
+    # gated deltas; a zero term never changes a sum that starts from +0.0
+    width = max((len(row) for rows in tables.members for row in rows), default=0)
+    idx = np.full((n, K, width), -1, dtype=np.intp)
+    for i, rows in enumerate(tables.members):
+        for k, row in enumerate(rows):
+            idx[i, k, : len(row)] = [j - 1 for j in row]
+    gated = np.where(idx >= 0, tables.delta[idx, np.arange(K)[None, :, None]], 0.0)
     th = np.repeat(s.theta_hat0[:, None, :], m, axis=1)  # (n, m, d)
     sum_err = np.zeros((n, K + 1))
     sum_tilde = np.zeros((n, K + 1, d))
-    sum_sq = np.zeros((n, K + 1, d))
+    m2 = np.zeros((n, K + 1, d))
+    changed = np.zeros(K + 1, dtype=bool)
 
     def accumulate(k: int) -> None:
         tilde = th - s.theta[None, None, :]
-        sum_tilde[:, k] += tilde.sum(axis=1)
-        sum_sq[:, k] += (tilde * tilde).sum(axis=1)
+        tot = tilde.sum(axis=1)
+        dev = tilde - (tot / m)[:, None, :]
+        sum_tilde[:, k] += tot
+        m2[:, k] += (dev * dev).sum(axis=1)
         es = np.zeros((n, m))
         for l in range(d):
             es += tilde[:, :, l] * tilde[:, :, l]
         sum_err[:, k] += np.sqrt(es).sum(axis=1)
+        changed[k] = True
 
     accumulate(0)
-    for k in range(K):
-        for i in range(1, n + 1):
-            srow = tables.gated_sum[i - 1, k]
-            if srow == 0.0:
-                continue
-            cur = th[i - 1]
-            num = np.zeros((m, d))
-            for j in tables.members[i - 1][k]:
-                dlt = tables.delta[j - 1, k]
-                num += dlt * (ybar[j - 1, k] - dlt * cur)
-            th[i - 1] = cur + (tables.alpha[k] * num) / (s.mu[i - 1] + srow)
+    for k in np.flatnonzero(tables.gated_sum.any(axis=0)):
+        srow = tables.gated_sum[:, k]
+        ybar = np.zeros((n, m, d))
+        for r in range(d):
+            ybar += y[:, k - r, :, None] * tables.adj[:, k, None, :, r]
+        num = np.zeros((n, m, d))
+        for p in range(width):
+            dlt = gated[:, k, p, None, None]
+            num += dlt * (ybar[idx[:, k, p]] - dlt * th)
+        new = th + (tables.alpha[k] * num) / np.add(s.mu, srow)[:, None, None]
+        th = np.where((srow != 0.0)[:, None, None], new, th)
         accumulate(k + 1)
-    return sum_err, sum_tilde, sum_sq
+    fill = np.maximum.accumulate(np.where(changed, np.arange(K + 1), 0))
+    return sum_err[:, fill], sum_tilde[:, fill], m2[:, fill]
 
 
 def run_monte_carlo(
@@ -513,17 +523,21 @@ def run_monte_carlo(
 ) -> MonteCarloAggregate:
     """Aggregate ``runs`` seeded runs; byte-identical for any worker count.
 
-    Seeds are base_seed+1..base_seed+runs, split into fixed-size chunks whose
-    partial sums are reduced strictly in chunk order.
+    Seeds are base_seed+1..base_seed+runs, split into fixed-size chunks that
+    share one set of step tables. Chunk results are merged strictly in chunk
+    order: sums add, and squared deviations combine by the pairwise update
+    of Chan, Golub and LeVeque (1979), which avoids the cancellation of
+    sum(x^2) - M*mean^2.
     """
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")
     if chunk_runs < 1:
         raise ValueError(f"chunk size must be positive, got {chunk_runs}")
     K = s.horizon if horizon is None else int(horizon)
+    tables = step_tables(s, K)
     seeds = [base_seed + r for r in range(1, runs + 1)]
     chunks = [
-        (s, tuple(seeds[c : c + chunk_runs]), K)
+        (s, tables, tuple(seeds[c : c + chunk_runs]))
         for c in range(0, runs, chunk_runs)
     ]
     if workers > 1 and len(chunks) > 1:
@@ -531,26 +545,22 @@ def run_monte_carlo(
             parts = list(pool.map(_chunk_sums, chunks))
     else:
         parts = [_chunk_sums(c) for c in chunks]
-    sum_err = parts[0][0].copy()
-    sum_tilde = parts[0][1].copy()
-    sum_sq = parts[0][2].copy()
-    for pe, pt, pq in parts[1:]:
-        sum_err += pe
-        sum_tilde += pt
-        sum_sq += pq
-    mean_err = sum_err / runs
-    mean_tilde = sum_tilde / runs
-    if runs > 1:
-        var = (sum_sq - runs * mean_tilde * mean_tilde) / (runs - 1)
-        var = np.maximum(var, 0.0)
-    else:
-        var = np.zeros_like(mean_tilde)
+    sum_err, sum_tilde, m2 = parts[0]
+    count = len(chunks[0][2])
+    for (_, _, part_seeds), (pe, pt, pm2) in zip(chunks[1:], parts[1:]):
+        size = len(part_seeds)
+        gap = pt / size - sum_tilde / count
+        m2 = m2 + pm2 + gap * gap * (count * size / (count + size))
+        sum_err = sum_err + pe
+        sum_tilde = sum_tilde + pt
+        count += size
+    var = m2 / (runs - 1) if runs > 1 else np.zeros_like(sum_tilde)
     return MonteCarloAggregate(
         runs=runs,
         base_seed=base_seed,
         horizon=K,
-        mean_error_norm=mean_err,
-        mean_tilde=mean_tilde,
+        mean_error_norm=sum_err / runs,
+        mean_tilde=sum_tilde / runs,
         var_tilde=var,
     )
 

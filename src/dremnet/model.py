@@ -33,7 +33,6 @@ __all__ = [
     "NoiseModel",
     "sample_noise",
     "noise_block",
-    "Measurement",
     "measure",
 ]
 
@@ -267,15 +266,6 @@ def sample_noise(model: NoiseModel, sensor: int, k: int) -> float:
     words = raw.random_raw(2)
     sigma = math.sqrt(model.variances[sensor - 1])
     return float(sigma * _gauss_from_words(words[0:1], words[1:2])[0])
-
-
-@dataclass(frozen=True)
-class Measurement:
-    """A scalar observation y_i(k)."""
-
-    value: float
-    sensor: int
-    step: int
 
 
 def measure(theta: np.ndarray, phi: np.ndarray, noise: float) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -300,3 +301,15 @@ class TestOracleAgainstSimulation:
         for k in (10, 100):
             gap = np.abs(mc.var_tilde[:, k] - exact[:, k])
             assert np.all(gap <= 6.0 * rel_se * exact[:, k])
+
+    def test_variance_survives_large_offset(self, sec5):
+        # tiny noise around a large estimate: the per-run spread sits ~9
+        # orders below theta_hat, where sum(x^2) - M*mean^2 cancels to noise
+        s = dataclasses.replace(sec5, variances=(1e-10,) * 4, theta_hat0=np.full((4, 2), 1e4))
+        runs = 256
+        agg = run_monte_carlo(s, runs=runs, base_seed=0, horizon=60)
+        exact, _ = covariance_recursion(s, horizon=60)
+        rel_se = np.sqrt(2.0 / (runs - 1))
+        assert np.all(exact[:, 60] > 0.0)
+        gap = np.abs(agg.var_tilde[:, 60] - exact[:, 60])
+        assert np.all(gap <= 6.0 * rel_se * exact[:, 60])

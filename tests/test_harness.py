@@ -18,8 +18,8 @@ from dremnet.harness import (
     run_single,
     step_tables,
 )
-from dremnet.model import Constant, PeriodicList
-from dremnet.topology import StaticGraph, ring
+from dremnet.model import Constant, CustomTable, PeriodicList, RecursiveCosine
+from dremnet.topology import PeriodicGraph, StaticGraph, ring
 
 # regression anchors for the builtin benchmark, frozen from the
 # deterministic noise-free trajectory
@@ -46,6 +46,34 @@ def tiny_scenario(**overrides) -> Scenario:
     )
     base.update(overrides)
     return Scenario(**base)
+
+
+def periodic_d3_scenario() -> Scenario:
+    # d=3 over a two-stage periodic graph whose closed neighbourhoods hold
+    # 1, 2 or 3 sensors; sensor 3 is constant and sensor 2's cosine windows
+    # have rank 2, so neither is excited on its own
+    return Scenario(
+        n=4,
+        d=3,
+        theta=np.array([1.0, -0.5, 2.0]),
+        generators=(
+            PeriodicList(vectors=((2.0, 1.0, 0.0), (0.0, 1.0, 3.0), (1.0, 0.0, 1.0), (1.0, 1.0, 1.0))),
+            RecursiveCosine(base=(1.0, 0.0, 0.5), slot=1, initial=1.0, angle_step=math.pi / 3),
+            Constant(vector=(1.0, 1.0, 1.0)),
+            CustomTable(
+                vectors=((1.0, 0.0, 0.0), (0.5, 2.0, 0.0), (0.0, 1.0, -1.0), (3.0, 0.0, 1.0), (1.0, 2.0, 2.0))
+            ),
+        ),
+        variances=(1.0, 0.5, 2.0, 0.25),
+        graph=PeriodicGraph(
+            n=4,
+            stages=(((1, 2), (2, 3), (3, 4), (4, 1), (1, 3)), ((4, 3), (1, 4), (2, 4))),
+        ),
+        schedule=HarmonicSchedule(c=0.7),
+        mu=(0.1, 0.2, 0.3, 0.4),
+        theta_hat0=np.array([[0.5, 0.0, -1.0], [0.0, 1.0, 0.0], [2.0, 2.0, 2.0], [-1.0, 0.0, 0.0]]),
+        horizon=40,
+    )
 
 
 class TestBuiltin:
@@ -278,31 +306,44 @@ class TestMonteCarlo:
             agg.mean_error_norm, (r1.error_norm + r2.error_norm) / 2
         )
 
-    def test_batched_engine_matches_stepper(self, sec5):
+    @pytest.mark.parametrize(
+        "scenario", [load_scenario("sec5"), periodic_d3_scenario()], ids=["sec5", "periodic_d3"]
+    )
+    def test_batched_engine_matches_stepper(self, scenario):
         # the vectorized chunk engine must replay run_single bit for bit
         from dremnet.harness import _chunk_sums
 
         seeds = (21, 22, 23)
-        sum_err, sum_tilde, sum_sq = _chunk_sums((sec5, seeds, 40))
+        sum_err, sum_tilde, m2 = _chunk_sums((scenario, step_tables(scenario, 40), seeds))
         ref_err = np.zeros_like(sum_err)
         ref_tilde = np.zeros_like(sum_tilde)
-        ref_sq = np.zeros_like(sum_sq)
+        tildes = []
         for seed in seeds:
-            res = run_single(sec5, seed=seed, horizon=40)
-            tilde = res.theta_hat - sec5.theta[None, None, :]
+            res = run_single(scenario, seed=seed, horizon=40)
+            tilde = res.theta_hat - scenario.theta[None, None, :]
             ref_err += res.error_norm
             ref_tilde += tilde
-            ref_sq += tilde * tilde
+            tildes.append(tilde)
+        ref_m2 = np.zeros_like(m2)
+        for tilde in tildes:
+            dev = tilde - ref_tilde / len(seeds)
+            ref_m2 += dev * dev
         assert np.array_equal(sum_err, ref_err)
         assert np.array_equal(sum_tilde, ref_tilde)
-        assert np.array_equal(sum_sq, ref_sq)
+        assert np.array_equal(m2, ref_m2)
 
-    def test_worker_count_is_invisible(self, sec5):
-        a = run_monte_carlo(sec5, runs=24, base_seed=0, horizon=25, workers=1, chunk_runs=8)
-        b = run_monte_carlo(sec5, runs=24, base_seed=0, horizon=25, workers=4, chunk_runs=8)
-        assert np.array_equal(a.mean_tilde, b.mean_tilde)
-        assert np.array_equal(a.var_tilde, b.var_tilde)
-        assert np.array_equal(a.mean_error_norm, b.mean_error_norm)
+    @pytest.mark.parametrize(
+        "runs, chunk_runs, workers",
+        [(24, 8, 4), (2 * CHUNK_RUNS + 1, CHUNK_RUNS, 2)],
+        ids=["chunk8-workers4", "default-chunk-workers2"],
+    )
+    def test_worker_count_is_invisible(self, sec5, runs, chunk_runs, workers):
+        kw = dict(runs=runs, base_seed=0, horizon=25, chunk_runs=chunk_runs)
+        a = run_monte_carlo(sec5, workers=1, **kw)
+        b = run_monte_carlo(sec5, workers=workers, **kw)
+        assert a.mean_tilde.tobytes() == b.mean_tilde.tobytes()
+        assert a.var_tilde.tobytes() == b.var_tilde.tobytes()
+        assert a.mean_error_norm.tobytes() == b.mean_error_norm.tobytes()
 
     def test_chunk_size_changes_only_rounding(self, sec5):
         # regrouping the per-chunk sums reorders float additions, so only
