@@ -31,7 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .drem import adjugate
-from .harness import Scenario, StepTables, check_scenario, step_tables
+from .harness import Scenario, check_scenario, step_tables
+from .topology import neighborhood_values
 
 __all__ = [
     "StepCoefficients",
@@ -97,34 +98,25 @@ class StepCoefficients:
             raise ValueError("epsilon must be nonnegative")
 
 
-def _tables(s: Scenario, horizon: Optional[int]) -> StepTables:
-    return step_tables(s, s.horizon if horizon is None else int(horizon))
-
-
 def step_coefficients(s: Scenario, horizon: Optional[int] = None) -> StepCoefficients:
     """Evaluate beta, epsilon, and the mixed-noise variances over a horizon."""
-    t = _tables(s, horizon)
+    t = step_tables(s, horizon)
     n, d, K = s.n, s.d, t.horizon
-    noise_var = np.zeros((n, K, d))
-    for j in range(n):
-        rj = s.variances[j]
-        for k in range(d - 1, K):
-            rows = t.adj[j, k]
-            for l in range(d):
-                noise_var[j, k, l] = rj * float(np.dot(rows[l], rows[l]))
-    bet = np.zeros((n, K))
+    # vecdot runs np.dot's kernel, whose rounding a channel loop does not match
+    noise_var = np.array(s.variances)[:, None, None] * np.vecdot(t.adj, t.adj)
+    srow = t.gated_sum
+    on = srow != 0.0
+    mu = np.array(s.mu)[:, None]
+    bet = np.where(on, t.alpha * srow / (mu + srow), 0.0)
+    # a float ** 2 squares through libm pow, which float_power keeps and the
+    # array ** 2 (a plain multiply) does not
+    gain = np.float_power(t.alpha / (mu + srow), 2.0)
+    dlt = neighborhood_values(t.members, t.delta)
+    nv = neighborhood_values(t.members, noise_var)
     eps = np.zeros((n, K, d))
-    for i in range(n):
-        mu = s.mu[i]
-        for k in range(K):
-            srow = t.gated_sum[i, k]
-            if srow == 0.0:
-                continue
-            bet[i, k] = beta(t.alpha[k], mu, srow)
-            gain = (t.alpha[k] / (mu + srow)) ** 2
-            for j in t.members[i][k]:
-                dlt = t.delta[j - 1, k]
-                eps[i, k] += gain * dlt * dlt * noise_var[j - 1, k]
+    for p in range(t.members.shape[2]):
+        eps += (gain * dlt[:, :, p] * dlt[:, :, p])[:, :, None] * nv[:, :, p]
+    eps = np.where(on[:, :, None], eps, 0.0)
     return StepCoefficients(
         alpha=t.alpha, beta=bet, epsilon=eps, gated_sum=t.gated_sum, noise_var=noise_var
     )
@@ -138,11 +130,9 @@ def mean_recursion(s: Scenario, horizon: Optional[int] = None) -> np.ndarray:
     """
     coef = step_coefficients(s, horizon)
     n, K = coef.beta.shape
-    mean = np.zeros((n, K + 1, s.d))
-    mean[:, 0] = s.theta_hat0 - s.theta[None, :]
-    for k in range(K):
-        mean[:, k + 1] = (1.0 - coef.beta[:, k])[:, None] * mean[:, k]
-    return mean
+    start = (s.theta_hat0 - s.theta[None, :])[:, None, :]
+    damp = np.broadcast_to((1.0 - coef.beta)[:, :, None], (n, K, s.d))
+    return np.multiply.accumulate(np.concatenate([start, damp], axis=1), axis=1)
 
 
 def covariance_recursion(
@@ -233,18 +223,11 @@ def theorem_check(
     r_max = max(s.variances) if s.variances else 0.0
     b_sq = float(np.max(coef.noise_var)) / r_max if r_max > 0 else 0.0
     cap_const = b_sq * r_max
-    ratio_max = 0.0
-    ratio_ok = True
-    for i in range(s.n):
-        for k in range(coef.beta.shape[1]):
-            b = coef.beta[i, k]
-            if b == 0.0:
-                continue
-            ratio = float(np.max(coef.epsilon[i, k])) / b
-            ratio_max = max(ratio_max, ratio)
-            cap = cap_const * coef.alpha[k] / s.mu[i]
-            if ratio > cap * (1.0 + 1e-12):
-                ratio_ok = False
+    on = coef.beta != 0.0
+    ratio = coef.epsilon.max(axis=2)[on] / coef.beta[on]
+    cap = (cap_const * coef.alpha / np.array(s.mu)[:, None])[on]
+    ratio_max = float(ratio.max(initial=0.0))
+    ratio_ok = not np.any(ratio > cap * (1.0 + 1e-12))
     return TheoremReport(
         horizon=K,
         violations=report.problems,

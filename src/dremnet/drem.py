@@ -41,7 +41,7 @@ _COFACTOR_MAX = 4
 
 
 def stack_regressors(history: Sequence[np.ndarray]) -> np.ndarray:
-    """Stack the last d regressors, newest first, into the d x d matrix.
+    """Stack the last d regressors (rows or a (d, d) array), newest first, into a matrix.
 
     ``history[0]`` is phi(k) and becomes row 0; ``history[d-1]`` is
     phi(k-d+1) and becomes the last row.
@@ -49,7 +49,7 @@ def stack_regressors(history: Sequence[np.ndarray]) -> np.ndarray:
     d = len(history)
     if d == 0:
         raise ValueError("history must contain at least one regressor")
-    m = np.array([np.asarray(v, dtype=float) for v in history])
+    m = np.array(history, dtype=float)
     if m.shape != (d, d):
         raise ValueError(f"need {d} regressors of length {d}, got shape {m.shape}")
     return m
@@ -60,7 +60,8 @@ def _cofactor_det(m: np.ndarray) -> float:
     if d == 1:
         return float(m[0, 0])
     if d == 2:
-        return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+        (a, b), (c, e) = m.tolist()
+        return a * e - b * c
     total = 0.0
     sub = np.delete(m, 0, axis=0)
     for c in range(d):
@@ -110,7 +111,8 @@ def adjugate(m: np.ndarray) -> np.ndarray:
     if d == 1:
         return np.ones((1, 1))
     if d == 2:
-        return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+        (a, b), (c, e) = m.tolist()
+        return np.array([e, -b, -c, a]).reshape(2, 2)
     out = np.empty((d, d))
     for r in range(d):
         rows = np.delete(m, r, axis=0)

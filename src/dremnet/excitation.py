@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .topology import GraphSchedule, closed_in_neighborhood
+from .topology import GraphSchedule, neighborhood_index, neighborhood_values
 
 __all__ = [
     "DeltaTrace",
@@ -87,14 +87,12 @@ def _meets(margin: float, omega: float) -> bool:
 
 
 def _window_margin(step_sums: np.ndarray, H: int, start: int, horizon: int) -> float:
-    best = np.inf
-    for k in range(start, horizon - H + 1):
-        w = 0.0
-        for t in range(k, k + H):
-            w += step_sums[t]
-        if w < best:
-            best = w
-    return float(best)
+    # every window sum adds its H steps in ascending t
+    count = horizon - H + 1 - start
+    w = np.zeros(count)
+    for t in range(start, start + H):
+        w += step_sums[t : t + count]
+    return float(w.min())
 
 
 def _check_window_args(trace: DeltaTrace, H: int, omega: float, horizon: Optional[int]) -> int:
@@ -124,14 +122,15 @@ def local_pe_check(
     horizon-1. Returns per-sensor margins and the slacked omega comparison.
     """
     horizon = _check_window_args(trace, H, omega, horizon)
-    sq = trace.values ** 2
-    margins = []
-    for i in range(1, trace.n + 1):
-        step_sums = np.zeros(horizon)
-        for t in range(horizon):
-            for j in closed_in_neighborhood(g, i, t):
-                step_sums[t] += sq[j - 1, t]
-        margins.append(_window_margin(step_sums, H, min(trace.d - 1, horizon - H), horizon))
+    if g.n != trace.n:
+        raise ValueError(f"graph has {g.n} sensors but the trace has {trace.n}")
+    index = neighborhood_index(g, horizon)
+    members = neighborhood_values(index, trace.values[:, :horizon] ** 2)
+    step_sums = np.zeros((trace.n, horizon))
+    for p in range(index.shape[2]):
+        step_sums += members[:, :, p]
+    start = min(trace.d - 1, horizon - H)
+    margins = [_window_margin(row, H, start, horizon) for row in step_sums]
     return PeCertificate(
         H=H,
         omega=omega,

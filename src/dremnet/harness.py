@@ -51,6 +51,8 @@ from .topology import (
     closed_in_neighborhood,
     graph_from_config,
     in_neighbors,
+    neighborhood_index,
+    neighborhood_values,
     out_neighbors,
     ring,
     validate_schedule,
@@ -104,6 +106,8 @@ class Scenario:
         object.__setattr__(self, "theta", theta)
         if theta.shape != (self.d,):
             raise ScenarioError(f"theta must have shape ({self.d},), got {theta.shape}")
+        if not np.all(np.isfinite(theta)):
+            raise ScenarioError(f"theta must be finite, got {theta.tolist()}")
         if len(self.generators) != self.n:
             raise ScenarioError(
                 f"generators: expected {self.n} entries, got {len(self.generators)}"
@@ -133,6 +137,8 @@ class Scenario:
             raise ScenarioError(
                 f"theta_hat0 must have shape ({self.n}, {self.d}), got {th0.shape}"
             )
+        if not np.all(np.isfinite(th0)):
+            raise ScenarioError(f"theta_hat0 must be finite, got {th0.tolist()}")
         if self.horizon < 0:
             raise ScenarioError(f"horizon must be nonnegative, got {self.horizon}")
         if self.graph.n != self.n:
@@ -171,50 +177,66 @@ def builtin_scenarios() -> tuple[str, ...]:
     return tuple(sorted(_BUILTINS))
 
 
+def _numbers(value) -> bool:
+    return isinstance(value, list) and all(type(x) in (int, float) for x in value)
+
+
+_JSON_TYPES = {
+    "a list of numbers": _numbers,
+    "a list of lists of numbers": lambda v: isinstance(v, list) and all(map(_numbers, v)),
+    "a list of objects": lambda v: isinstance(v, list) and all(type(x) is dict for x in v),
+    "an object": lambda v: type(v) is dict,
+    "an integer": lambda v: type(v) is int,
+}
+
+
+def _field(cfg: dict, path: str, expected: str, default=None):
+    """cfg[section][field] checked against its JSON type; errors name the field."""
+    section, field = path.split(".")
+    value = cfg[section].get(field, default)
+    if value is None:
+        raise ScenarioError(f"{section}: missing field {field!r}")
+    if not _JSON_TYPES[expected](value):
+        raise ScenarioError(f"{path}: expected {expected}, got {json.dumps(value)}")
+    return value
+
+
 def _scenario_from_config(cfg: dict) -> Scenario:
     for section in ("model", "graph", "estimator", "run"):
         if section not in cfg:
             raise ScenarioError(f"config is missing section {section!r}")
-    model = cfg["model"]
-    for key in ("theta", "generators", "noise"):
-        if key not in model:
-            raise ScenarioError(f"model: missing field {key!r}")
-    theta = np.asarray(model["theta"], dtype=float)
+        if not isinstance(cfg[section], dict):
+            raise ScenarioError(f"{section}: expected an object, got {json.dumps(cfg[section])}")
+    theta = np.array(_field(cfg, "model.theta", "a list of numbers"), dtype=float)
     d = len(theta)
     generators = []
-    for i, gcfg in enumerate(model["generators"], start=1):
+    for i, gcfg in enumerate(_field(cfg, "model.generators", "a list of objects"), start=1):
         try:
             generators.append(generator_from_config(gcfg))
-        except ValueError as e:
+        except (TypeError, ValueError) as e:
             raise ScenarioError(f"model.generators[{i}]: {e}") from None
     try:
         graph = graph_from_config(cfg["graph"])
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ScenarioError(f"graph: {e}") from None
-    est = cfg["estimator"]
-    for key in ("mu", "step"):
-        if key not in est:
-            raise ScenarioError(f"estimator: missing field {key!r}")
+    step = _field(cfg, "estimator.step", "an object")
     try:
-        schedule = schedule_from_config(est["step"])
-    except ValueError as e:
+        schedule = schedule_from_config(step)
+    except (TypeError, ValueError) as e:
         raise ScenarioError(f"estimator.step: {e}") from None
     n = graph.n
-    theta_hat0 = np.asarray(est.get("theta_hat0", np.zeros((n, d))), dtype=float)
-    run = cfg["run"]
-    if "horizon" not in run:
-        raise ScenarioError("run: missing field 'horizon'")
+    theta_hat0 = _field(cfg, "estimator.theta_hat0", "a list of lists of numbers", [[0.0] * d] * n)
     return Scenario(
         n=n,
         d=d,
         theta=theta,
         generators=tuple(generators),
-        variances=tuple(float(r) for r in model["noise"]),
+        variances=tuple(_field(cfg, "model.noise", "a list of numbers")),
         graph=graph,
         schedule=schedule,
-        mu=tuple(float(m) for m in est["mu"]),
-        theta_hat0=theta_hat0,
-        horizon=int(run["horizon"]),
+        mu=tuple(_field(cfg, "estimator.mu", "a list of numbers")),
+        theta_hat0=np.array(theta_hat0, dtype=float),
+        horizon=_field(cfg, "run.horizon", "an integer"),
     )
 
 
@@ -249,7 +271,7 @@ class StepTables:
     """Deterministic per-step tables shared by every run of a scenario.
 
     Regressors, noise-free measurements, scalar regressors delta_bar and
-    adjugates, step sizes, sorted closed neighborhoods, and the full
+    adjugates, step sizes, padded closed-neighborhood indices, and the full
     counter/gating skeleton (which never depends on noise).
     """
 
@@ -259,7 +281,7 @@ class StepTables:
     delta: np.ndarray      # (n, K)
     adj: np.ndarray        # (n, K, d, d)
     alpha: np.ndarray      # (K,)
-    members: tuple[tuple[tuple[int, ...], ...], ...]
+    members: np.ndarray    # (n, K, width) 0-based, -1 padded
     gated_sum: np.ndarray  # (n, K)
     effective: np.ndarray  # (n, K) bool
     counters: np.ndarray   # (n, K+1) int
@@ -271,44 +293,31 @@ def step_tables(s: Scenario, horizon: Optional[int] = None) -> StepTables:
     if K < 0:
         raise ValueError(f"horizon must be nonnegative, got {K}")
     n, d = s.n, s.d
-    phi = np.zeros((n, K, d))
-    y_det = np.zeros((n, K))
+    phi = np.array([[regressor_at(g, k) for k in range(K)] for g in s.generators]).reshape(n, K, d)
+    # vecdot shares the np.dot kernel of measure(); a channel loop rounds differently
+    y_det = np.vecdot(phi, s.theta) + 0.0
     delta = np.zeros((n, K))
     adj = np.zeros((n, K, d, d))
-    for i in range(1, n + 1):
-        hist: list[np.ndarray] = []
-        for k in range(K):
-            p = regressor_at(s.generators[i - 1], k)
-            phi[i - 1, k] = p
-            y_det[i - 1, k] = measure(s.theta, p, 0.0)
-            hist.insert(0, p)
-            if len(hist) > d:
-                hist.pop()
-            if len(hist) == d:
-                ext = extend(hist)
-                delta[i - 1, k] = ext.det
-                adj[i - 1, k] = ext.adj
+    for i in range(n):
+        for k in range(d - 1, K):
+            ext = extend(phi[i, k - d + 1 : k + 1][::-1])  # newest first
+            delta[i, k] = ext.det
+            adj[i, k] = ext.adj
     alpha = np.array([step_size(s.schedule, k) for k in range(K)])
-    members = tuple(
-        tuple(closed_in_neighborhood(s.graph, i, k) for k in range(K))
-        for i in range(1, n + 1)
-    )
-    gated = np.zeros((n, K))
-    eff = np.zeros((n, K), dtype=bool)
-    counters = np.zeros((n, K + 1), dtype=np.int64)
+    members = neighborhood_index(s.graph, K)
+    dlt = neighborhood_values(members, delta)
+    full = np.zeros((n, K))
+    for p in range(members.shape[2]):
+        full += dlt[:, :, p] * dlt[:, :, p]
+    # a sensor updates, resetting its counter, once the counter has reached d
+    # and its neighborhood sum is nonzero
     c = [0] * n
-    for k in range(K):
-        for i in range(1, n + 1):
-            acc = 0.0
-            if c[i - 1] >= d:
-                for j in members[i - 1][k]:
-                    dlt = delta[j - 1, k]
-                    acc += dlt * dlt
-            gated[i - 1, k] = acc
-            e = acc != 0.0
-            eff[i - 1, k] = e
-            c[i - 1] = 0 if e else c[i - 1] + 1
-            counters[i - 1, k + 1] = c[i - 1]
+    counts = [c]
+    for row in (full != 0.0).T.tolist():
+        c = [0 if ci >= d and nz else ci + 1 for ci, nz in zip(c, row)]
+        counts.append(c)
+    counters = np.array(counts, dtype=np.int64).T.copy()
+    eff = counters[:, 1:] == 0
     return StepTables(
         horizon=K,
         phi=phi,
@@ -317,7 +326,7 @@ def step_tables(s: Scenario, horizon: Optional[int] = None) -> StepTables:
         adj=adj,
         alpha=alpha,
         members=members,
-        gated_sum=gated,
+        gated_sum=np.where(eff, full, 0.0),
         effective=eff,
         counters=counters,
     )
@@ -470,14 +479,8 @@ def _chunk_sums(args: tuple[Scenario, StepTables, tuple[int, ...]]) -> tuple[np.
         nm = NoiseModel(variances=s.variances, seed=seed)
         for j in range(1, n + 1):
             y[j - 1, :, r] = tables.y_det[j - 1] + noise_block(nm, j, K)
-    # closed neighbourhoods padded to a common width (index -1) with zero
-    # gated deltas; a zero term never changes a sum that starts from +0.0
-    width = max((len(row) for rows in tables.members for row in rows), default=0)
-    idx = np.full((n, K, width), -1, dtype=np.intp)
-    for i, rows in enumerate(tables.members):
-        for k, row in enumerate(rows):
-            idx[i, k, : len(row)] = [j - 1 for j in row]
-    gated = np.where(idx >= 0, tables.delta[idx, np.arange(K)[None, :, None]], 0.0)
+    idx = tables.members
+    gated = neighborhood_values(idx, tables.delta)
     th = np.repeat(s.theta_hat0[:, None, :], m, axis=1)  # (n, m, d)
     sum_err = np.zeros((n, K + 1))
     sum_tilde = np.zeros((n, K + 1, d))
@@ -503,7 +506,7 @@ def _chunk_sums(args: tuple[Scenario, StepTables, tuple[int, ...]]) -> tuple[np.
         for r in range(d):
             ybar += y[:, k - r, :, None] * tables.adj[:, k, None, :, r]
         num = np.zeros((n, m, d))
-        for p in range(width):
+        for p in range(idx.shape[2]):
             dlt = gated[:, k, p, None, None]
             num += dlt * (ybar[idx[:, k, p]] - dlt * th)
         new = th + (tables.alpha[k] * num) / np.add(s.mu, srow)[:, None, None]
@@ -655,12 +658,12 @@ def check_scenario(
             problems.append(f"sensor {i}: regressor sequence is unbounded")
     trace = DeltaTrace(values=tables.delta, d=s.d)
     pe_h = find_certificate(trace, s.graph, omega, h_max, K)
-    pe_margin: dict[int, float] = {}
+    # one scan per distinct window: the certified H, or h_max without one
+    window = {i: h or h_max for i, h in pe_h.items()}
+    certs = {h: local_pe_check(trace, s.graph, h, omega, K) for h in set(window.values())}
+    pe_margin = {i: certs[h].margin[i - 1] for i, h in window.items()}
     single_pe_h: dict[int, Optional[int]] = {}
     for i in range(1, s.n + 1):
-        h = pe_h[i] if pe_h[i] is not None else h_max
-        cert = local_pe_check(trace, s.graph, h, omega, K)
-        pe_margin[i] = cert.margin[i - 1]
         single_pe_h[i] = None
         for hh in range(1, h_max + 1):
             sat, _ = single_sensor_pe(trace, i, hh, omega, K)

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 __all__ = [
     "StaticGraph",
     "PeriodicGraph",
@@ -24,6 +26,8 @@ __all__ = [
     "in_neighbors",
     "out_neighbors",
     "closed_in_neighborhood",
+    "neighborhood_index",
+    "neighborhood_values",
     "validate_schedule",
     "graph_from_config",
 ]
@@ -130,6 +134,36 @@ def out_neighbors(g: GraphSchedule, j: int, k: int) -> tuple[int, ...]:
 def closed_in_neighborhood(g: GraphSchedule, i: int, k: int) -> tuple[int, ...]:
     """in_neighbors(i, k) plus i itself, ascending. Updates draw on this set."""
     return tuple(sorted(set(in_neighbors(g, i, k)) | {i}))
+
+
+def neighborhood_index(g: GraphSchedule, horizon: int) -> np.ndarray:
+    """Closed in-neighborhoods at steps 0..horizon-1, shape (n, horizon, width).
+
+    Row [i-1, k] is closed_in_neighborhood(g, i, k) as ascending 0-based
+    indices padded with -1; computed once per distinct edge set.
+    """
+    stages: dict[tuple[Edge, ...], tuple[int, int]] = {}  # edge set -> (row, first step)
+    pos = [stages.setdefault(edges_at(g, k), (len(stages), k))[0] for k in range(horizon)]
+    hoods = [
+        [closed_in_neighborhood(g, i, k) for i in range(1, g.n + 1)] for _, k in stages.values()
+    ]
+    width = max((len(h) for row in hoods for h in row), default=0)
+    table = np.full((len(hoods), g.n, width), -1, dtype=np.intp)
+    for stage, row in enumerate(hoods):
+        for i, h in enumerate(row):
+            table[stage, i, : len(h)] = [j - 1 for j in h]
+    return table[np.array(pos, dtype=np.intp)].transpose(1, 0, 2).copy()
+
+
+def neighborhood_values(index: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """values[j, k, ...] for each member j of the neighborhoods in ``index``.
+
+    Padding gathers 0.0, which leaves any sum started from +0.0 unchanged, so
+    summing the member axis in order equals a loop in ascending sensor order.
+    """
+    steps = np.arange(index.shape[1])[None, :, None]
+    valid = (index >= 0).reshape(index.shape + (1,) * (values.ndim - 2))
+    return np.where(valid, values[index, steps], 0.0)
 
 
 def _stage_problems(stage: tuple[Edge, ...], n: int, where: str) -> list[str]:

@@ -75,6 +75,22 @@ class TestCheckPe:
         captured = capsys.readouterr()
         assert "violation:" in captured.err
 
+    def test_wrongly_typed_field(self, tmp_path, capsys):
+        cfg = {
+            "model": {
+                "theta": [1.0, 2.0],
+                "generators": [{"kind": "constant", "vector": [1, 1]}],
+                "noise": [1.0],
+            },
+            "graph": {"kind": "static", "n": 1, "edges": []},
+            "estimator": {"mu": 5, "step": {"kind": "harmonic", "c": 0.7}},
+            "run": {"horizon": 40},
+        }
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["check-pe", "--scenario", str(p)]) == 1
+        assert "error: estimator.mu: expected a list of numbers, got 5" in capsys.readouterr().err
+
     def test_out_file(self, tmp_path, capsys):
         p = tmp_path / "pe.csv"
         assert main(["check-pe", "--steps", "120", "--out", str(p)]) == 0

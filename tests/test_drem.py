@@ -122,6 +122,22 @@ class TestStacking:
             stack_regressors([np.ones(3), np.ones(3)])
 
 
+    @pytest.mark.parametrize("singular", [False, True], ids=["regular", "singular"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_extend_array_and_rows_agree(self, d, singular):
+        # the table build passes (d, d) array views, the per-node path lists
+        # of rows; both must give the same det and adj bits
+        window = np.random.default_rng(d).normal(size=(d, d)).round(3)
+        if singular:
+            window[:, 0] = 0.0
+        rows = [row.copy() for row in window]
+        for a, b in ((window, rows), (window[::-1], rows[::-1])):
+            got, want = extend(a), extend(b)
+            assert np.float64(got.det).tobytes() == np.float64(want.det).tobytes()
+            assert got.adj.tobytes() == want.adj.tobytes()
+            assert (got.det == 0.0) == singular
+
+
 class TestMix:
     def test_hand_case_recovers_scaled_parameter(self):
         # noise-free: ybar must equal det * theta

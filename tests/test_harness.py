@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,8 +20,8 @@ from dremnet.harness import (
     run_single,
     step_tables,
 )
-from dremnet.model import Constant, CustomTable, PeriodicList, RecursiveCosine
-from dremnet.topology import PeriodicGraph, StaticGraph, ring
+from dremnet.model import Constant, PeriodicList
+from dremnet.topology import StaticGraph, ring
 
 # regression anchors for the builtin benchmark, frozen from the
 # deterministic noise-free trajectory
@@ -48,34 +50,6 @@ def tiny_scenario(**overrides) -> Scenario:
     return Scenario(**base)
 
 
-def periodic_d3_scenario() -> Scenario:
-    # d=3 over a two-stage periodic graph whose closed neighbourhoods hold
-    # 1, 2 or 3 sensors; sensor 3 is constant and sensor 2's cosine windows
-    # have rank 2, so neither is excited on its own
-    return Scenario(
-        n=4,
-        d=3,
-        theta=np.array([1.0, -0.5, 2.0]),
-        generators=(
-            PeriodicList(vectors=((2.0, 1.0, 0.0), (0.0, 1.0, 3.0), (1.0, 0.0, 1.0), (1.0, 1.0, 1.0))),
-            RecursiveCosine(base=(1.0, 0.0, 0.5), slot=1, initial=1.0, angle_step=math.pi / 3),
-            Constant(vector=(1.0, 1.0, 1.0)),
-            CustomTable(
-                vectors=((1.0, 0.0, 0.0), (0.5, 2.0, 0.0), (0.0, 1.0, -1.0), (3.0, 0.0, 1.0), (1.0, 2.0, 2.0))
-            ),
-        ),
-        variances=(1.0, 0.5, 2.0, 0.25),
-        graph=PeriodicGraph(
-            n=4,
-            stages=(((1, 2), (2, 3), (3, 4), (4, 1), (1, 3)), ((4, 3), (1, 4), (2, 4))),
-        ),
-        schedule=HarmonicSchedule(c=0.7),
-        mu=(0.1, 0.2, 0.3, 0.4),
-        theta_hat0=np.array([[0.5, 0.0, -1.0], [0.0, 1.0, 0.0], [2.0, 2.0, 2.0], [-1.0, 0.0, 0.0]]),
-        horizon=40,
-    )
-
-
 class TestBuiltin:
     def test_listing(self):
         assert "sec5" in builtin_scenarios()
@@ -96,21 +70,31 @@ class TestBuiltin:
         assert a is not b
 
 
+def two_sensor_config() -> dict:
+    return {
+        "model": {
+            "theta": [2.5, -1.0],
+            "generators": [
+                {"kind": "periodic-list", "vectors": [[2, 3], [1, 2]]},
+                {"kind": "constant", "vector": [1, 1]},
+            ],
+            "noise": [1.0, 0.5],
+        },
+        "graph": {"kind": "ring", "n": 2},
+        "estimator": {"mu": [0.1, 0.2], "step": {"kind": "harmonic", "c": 0.7}},
+        "run": {"horizon": 50},
+    }
+
+
+def load_config(tmp_path, cfg: dict) -> Scenario:
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(cfg))
+    return load_scenario(p)
+
+
 class TestLoading:
     def test_json_round_trip(self, tmp_path):
-        cfg = {
-            "model": {
-                "theta": [2.5, -1.0],
-                "generators": [
-                    {"kind": "periodic-list", "vectors": [[2, 3], [1, 2]]},
-                    {"kind": "constant", "vector": [1, 1]},
-                ],
-                "noise": [1.0, 0.5],
-            },
-            "graph": {"kind": "ring", "n": 2},
-            "estimator": {"mu": [0.1, 0.2], "step": {"kind": "harmonic", "c": 0.7}},
-            "run": {"horizon": 50},
-        }
+        cfg = two_sensor_config()
         p = tmp_path / "scenario.json"
         p.write_text(json.dumps(cfg))
         s = load_scenario(p)
@@ -135,6 +119,46 @@ class TestLoading:
         p.write_text("[1, 2]")
         with pytest.raises(ScenarioError, match="object"):
             load_scenario(p)
+
+    @pytest.mark.parametrize(
+        "section, field, value, where",
+        [
+            ("model", "theta", "2.5", "model.theta"),
+            ("model", "noise", [1.0, "x"], "model.noise"),
+            ("model", "generators", {"kind": "constant"}, "model.generators"),
+            ("model", "generators", [{"kind": "periodic-list", "vectors": 5}], "model.generators[1]"),
+            ("graph", "n", [2], "graph"),
+            ("estimator", "mu", 5, "estimator.mu"),
+            ("estimator", "mu", [0.1, True], "estimator.mu"),
+            ("estimator", "step", 0.7, "estimator.step"),
+            ("estimator", "step", {"kind": "harmonic", "c": [0.7]}, "estimator.step"),
+            ("estimator", "theta_hat0", [1.0, 2.0], "estimator.theta_hat0"),
+            ("run", "horizon", 2.5, "run.horizon"),
+        ],
+        ids=[
+            "theta-string", "noise-string-entry", "generators-object", "generator-vectors-int",
+            "graph-n-list", "mu-int", "mu-bool-entry", "step-number", "step-c-list",
+            "theta_hat0-flat", "horizon-float",
+        ],
+    )
+    def test_wrong_json_type_names_the_field(self, tmp_path, section, field, value, where):
+        cfg = two_sensor_config()
+        cfg[section][field] = value
+        # the field is named once, not again by an outer handler
+        with pytest.raises(ScenarioError, match=rf"^{re.escape(where)}: (?!{re.escape(where)})"):
+            load_config(tmp_path, cfg)
+
+    def test_missing_field(self, tmp_path):
+        cfg = two_sensor_config()
+        del cfg["estimator"]["step"]
+        with pytest.raises(ScenarioError, match="^estimator: missing field 'step'$"):
+            load_config(tmp_path, cfg)
+
+    def test_section_must_be_object(self, tmp_path):
+        cfg = two_sensor_config()
+        cfg["estimator"] = [0.1, 0.2]
+        with pytest.raises(ScenarioError, match="^estimator: expected an object"):
+            load_config(tmp_path, cfg)
 
     def test_missing_section(self, tmp_path):
         p = tmp_path / "partial.json"
@@ -167,6 +191,14 @@ class TestScenarioValidation:
     def test_theta_hat0_shape(self):
         with pytest.raises(ScenarioError, match="theta_hat0"):
             tiny_scenario(theta_hat0=np.zeros((2, 1)))
+
+    def test_theta_must_be_finite(self, sec5):
+        with pytest.raises(ScenarioError, match="theta must be finite"):
+            dataclasses.replace(sec5, theta=np.array([np.nan, 1.0]))
+
+    def test_theta_hat0_must_be_finite(self, sec5):
+        with pytest.raises(ScenarioError, match="theta_hat0 must be finite"):
+            dataclasses.replace(sec5, theta_hat0=np.full((4, 2), np.inf))
 
 
 class TestStepTables:
@@ -306,13 +338,12 @@ class TestMonteCarlo:
             agg.mean_error_norm, (r1.error_norm + r2.error_norm) / 2
         )
 
-    @pytest.mark.parametrize(
-        "scenario", [load_scenario("sec5"), periodic_d3_scenario()], ids=["sec5", "periodic_d3"]
-    )
-    def test_batched_engine_matches_stepper(self, scenario):
+    @pytest.mark.parametrize("name", ["sec5", "periodic_d3", "table_d5"])
+    def test_batched_engine_matches_stepper(self, name, request):
         # the vectorized chunk engine must replay run_single bit for bit
         from dremnet.harness import _chunk_sums
 
+        scenario = request.getfixturevalue(name)
         seeds = (21, 22, 23)
         sum_err, sum_tilde, m2 = _chunk_sums((scenario, step_tables(scenario, 40), seeds))
         ref_err = np.zeros_like(sum_err)
