@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .drem import adjugate
-from .harness import Scenario, check_scenario, step_tables
+from .harness import Scenario, check_scenario, step_rows, step_tables, write_csv
 from .topology import neighborhood_values
 
 __all__ = [
@@ -243,29 +243,10 @@ def theorem_check(
     )
 
 
-def _write_oracle(m: MomentTrajectory, f) -> None:
-    n, steps, d = m.mean.shape
-    f.write("k,i,l,mean,cov_exact,cov_bound\n")
-    for k in range(steps):
-        for i in range(1, n + 1):
-            for l in range(1, d + 1):
-                f.write(
-                    f"{k},{i},{l},{float(m.mean[i - 1, k, l - 1])!r},"
-                    f"{float(m.cov_exact[i - 1, k, l - 1])!r},"
-                    f"{float(m.cov_bound[i - 1, k, l - 1])!r}\n"
-                )
-
-
 def export_oracle_csv(m: MomentTrajectory, path) -> None:
     """Write oracle trajectories as CSV rows k, i, l, mean, cov_exact, cov_bound.
 
     ``path`` may also be an open text stream.
     """
-    if hasattr(path, "write"):
-        _write_oracle(m, path)
-        return
-    try:
-        with open(path, "w", newline="") as f:
-            _write_oracle(m, f)
-    except OSError as e:
-        raise OSError(f"cannot write {path}: {e.strerror or e}") from e
+    values = np.stack([m.mean, m.cov_exact, m.cov_bound], axis=-1)
+    write_csv(path, "k,i,l,mean,cov_exact,cov_bound", step_rows(values))

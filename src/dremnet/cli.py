@@ -21,6 +21,8 @@ from .harness import (
     load_scenario,
     run_monte_carlo,
     run_single,
+    step_rows,
+    write_csv,
 )
 
 __all__ = ["main", "build_parser"]
@@ -119,7 +121,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 def _cmd_check_pe(args: argparse.Namespace) -> int:
     s = load_scenario(args.scenario)
     report = check_scenario(s, h_max=args.h_max, omega=args.omega, horizon=args.steps)
-    lines = ["sensor,bound,local_H,local_margin,local_satisfied,single_H"]
+    lines = []
     for i in range(1, s.n + 1):
         h = report.pe_h[i]
         sh = report.single_pe_h[i]
@@ -127,16 +129,10 @@ def _cmd_check_pe(args: argparse.Namespace) -> int:
             f"{i},{report.bounds[i - 1]!r},{'' if h is None else h},"
             f"{report.pe_margin[i]!r},{h is not None},{'' if sh is None else sh}"
         )
-    text = "\n".join(lines) + "\n"
+    header = "sensor,bound,local_H,local_margin,local_satisfied,single_H"
+    write_csv(args.out or sys.stdout, header, lines)
     if args.out:
-        try:
-            with open(args.out, "w") as f:
-                f.write(text)
-        except OSError as e:
-            raise OSError(f"cannot write {args.out}: {e.strerror or e}") from e
         print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
     for problem in report.problems:
         print(f"violation: {problem}", file=sys.stderr)
     return 0 if report.ok else 1
@@ -144,16 +140,15 @@ def _cmd_check_pe(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     s = load_scenario(args.scenario)
-    m = moments(s, horizon=args.steps)
+    export_oracle_csv(moments(s, horizon=args.steps), args.out or sys.stdout)
     if args.out:
-        export_oracle_csv(m, args.out)
         print(f"wrote {args.out}")
-    else:
-        export_oracle_csv(m, sys.stdout)
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    if args.runs < 2:
+        raise ValueError(f"--runs must be at least 2 to estimate a variance, got {args.runs}")
     s = load_scenario(args.scenario)
     agg = run_monte_carlo(
         s, args.runs, args.seed, workers=args.workers, horizon=args.steps
@@ -182,22 +177,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             f"var/oracle in [{float(np.min(ratio)):.3f}, {float(np.max(ratio)):.3f}]"
         )
     if args.out:
-        try:
-            with open(args.out, "w") as f:
-                f.write("k,i,l,mc_mean,oracle_mean,mc_var,oracle_var_exact,oracle_var_bound\n")
-                for k in range(agg.horizon + 1):
-                    for i in range(1, s.n + 1):
-                        for l in range(1, s.d + 1):
-                            f.write(
-                                f"{k},{i},{l},"
-                                f"{float(agg.mean_tilde[i - 1, k, l - 1])!r},"
-                                f"{float(m.mean[i - 1, k, l - 1])!r},"
-                                f"{float(agg.var_tilde[i - 1, k, l - 1])!r},"
-                                f"{float(m.cov_exact[i - 1, k, l - 1])!r},"
-                                f"{float(m.cov_bound[i - 1, k, l - 1])!r}\n"
-                            )
-        except OSError as e:
-            raise OSError(f"cannot write {args.out}: {e.strerror or e}") from e
+        values = np.stack(
+            [agg.mean_tilde, m.mean, agg.var_tilde, m.cov_exact, m.cov_bound], axis=-1
+        )
+        header = "k,i,l,mc_mean,oracle_mean,mc_var,oracle_var_exact,oracle_var_bound"
+        write_csv(args.out, header, step_rows(values))
         print(f"wrote {args.out}")
     return 0
 

@@ -34,7 +34,6 @@ __all__ = [
     "extend",
     "mix",
     "drem_transform",
-    "message_row",
 ]
 
 _COFACTOR_MAX = 4
@@ -219,7 +218,3 @@ def drem_transform(
         vbar = MixedNoise(vbar=_adj_apply(ext.adj, v))
     return msg, vbar
 
-
-def message_row(msg: DremMessage) -> list:
-    """CSV row for a message log: k, i, delta_bar, ybar_1 ... ybar_d."""
-    return [msg.step, msg.sensor, msg.delta_bar, *(float(x) for x in msg.ybar)]

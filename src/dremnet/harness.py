@@ -18,7 +18,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -71,6 +71,8 @@ __all__ = [
     "delta_traces",
     "run_single",
     "run_monte_carlo",
+    "write_csv",
+    "step_rows",
     "export_csv",
     "check_scenario",
 ]
@@ -287,11 +289,17 @@ class StepTables:
     counters: np.ndarray   # (n, K+1) int
 
 
-def step_tables(s: Scenario, horizon: Optional[int] = None) -> StepTables:
-    """Precompute every noise-independent quantity for steps 0..horizon-1."""
+def _horizon(s: Scenario, horizon: Optional[int]) -> int:
+    """The step count to simulate: the override if given, else the scenario's."""
     K = s.horizon if horizon is None else int(horizon)
     if K < 0:
         raise ValueError(f"horizon must be nonnegative, got {K}")
+    return K
+
+
+def step_tables(s: Scenario, horizon: Optional[int] = None) -> StepTables:
+    """Precompute every noise-independent quantity for steps 0..horizon-1."""
+    K = _horizon(s, horizon)
     n, d = s.n, s.d
     phi = np.array([[regressor_at(g, k) for k in range(K)] for g in s.generators]).reshape(n, K, d)
     # vecdot shares the np.dot kernel of measure(); a channel loop rounds differently
@@ -364,13 +372,15 @@ class RunResult:
         return np.flatnonzero(self.effective[sensor - 1])
 
 
-def _error_norm(diff: np.ndarray) -> float:
-    # channel loop in ascending order; the batched engine accumulates the
-    # same sequence so norms agree bit for bit
-    s = 0.0
-    for l in range(diff.shape[0]):
-        s += diff[l] * diff[l]
-    return math.sqrt(s)
+def _channel_norm(diff: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, adding the channels in ascending order.
+
+    Both engines take their error norms from here, so they agree bit for bit.
+    """
+    total = np.zeros(diff.shape[:-1])
+    for l in range(diff.shape[-1]):
+        total += diff[..., l] * diff[..., l]
+    return np.sqrt(total)
 
 
 def run_single(
@@ -386,7 +396,7 @@ def run_single(
     neighborhood's messages in the same k. With ``instrument`` set, the
     result also carries the measurement-consumption trail.
     """
-    K = s.horizon if horizon is None else int(horizon)
+    K = _horizon(s, horizon)
     n, d = s.n, s.d
     nm = NoiseModel(variances=s.variances, seed=seed)
     states = [
@@ -394,12 +404,9 @@ def run_single(
         for i in range(1, n + 1)
     ]
     traj = np.zeros((n, K + 1, d))
-    err = np.zeros((n, K + 1))
+    traj[:, 0] = s.theta_hat0
     eff = np.zeros((n, K), dtype=bool)
     counters = np.zeros((n, K + 1), dtype=np.int64)
-    for i in range(1, n + 1):
-        traj[i - 1, 0] = states[i - 1].theta_hat
-        err[i - 1, 0] = _error_norm(states[i - 1].theta_hat - s.theta)
     payload_total = 0
     consumed: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     phi_hist: list[list[np.ndarray]] = [[] for _ in range(n)]
@@ -430,12 +437,11 @@ def run_single(
             states[i - 1] = state
             counters[i - 1, k + 1] = state.counter
             traj[i - 1, k + 1] = state.theta_hat
-            err[i - 1, k + 1] = _error_norm(state.theta_hat - s.theta)
     return RunResult(
         seed=seed,
         horizon=K,
         theta_hat=traj,
-        error_norm=err,
+        error_norm=_channel_norm(traj - s.theta),
         effective=eff,
         counters=counters,
         payload_size=d + 1,
@@ -493,10 +499,7 @@ def _chunk_sums(args: tuple[Scenario, StepTables, tuple[int, ...]]) -> tuple[np.
         dev = tilde - (tot / m)[:, None, :]
         sum_tilde[:, k] += tot
         m2[:, k] += (dev * dev).sum(axis=1)
-        es = np.zeros((n, m))
-        for l in range(d):
-            es += tilde[:, :, l] * tilde[:, :, l]
-        sum_err[:, k] += np.sqrt(es).sum(axis=1)
+        sum_err[:, k] += _channel_norm(tilde).sum(axis=1)
         changed[k] = True
 
     accumulate(0)
@@ -536,7 +539,7 @@ def run_monte_carlo(
         raise ValueError(f"need at least one run, got {runs}")
     if chunk_runs < 1:
         raise ValueError(f"chunk size must be positive, got {chunk_runs}")
-    K = s.horizon if horizon is None else int(horizon)
+    K = _horizon(s, horizon)
     tables = step_tables(s, K)
     seeds = [base_seed + r for r in range(1, runs + 1)]
     chunks = [
@@ -568,15 +571,42 @@ def run_monte_carlo(
     )
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def write_csv(target, header: str, lines: Iterable[str]) -> None:
+    """Write a CSV header line and lines, each ending in LF, to a path or an open text stream.
+
+    Every CSV the package produces goes through here. An unwritable path
+    raises ``OSError`` naming the path.
+    """
+    if hasattr(target, "write"):
+        target.write(header + "\n")
+        for line in lines:
+            target.write(line + "\n")
+        return
+    try:
+        with open(target, "w", newline="") as f:
+            write_csv(f, header, lines)
+    except OSError as e:
+        raise OSError(f"cannot write {target}: {e.strerror or e}") from e
+
+
+def step_rows(values: np.ndarray) -> Iterator[str]:
+    """CSV lines of an (n, K+1, c) or (n, K+1, d, c) step table, k-major.
+
+    Each line is ``k,i`` (and ``l`` for a per-channel table, i and l 1-based)
+    followed by the repr of each of the c floats, which round-trips float64
+    exactly. One step is converted at a time, to keep memory flat.
+    """
+    for k in range(values.shape[1]):
+        for i, row in enumerate(values[:, k].tolist(), start=1):
+            if values.ndim == 3:
+                yield f"{k},{i}," + ",".join(map(repr, row))
+            else:
+                for l, cells in enumerate(row, start=1):
+                    yield f"{k},{i},{l}," + ",".join(map(repr, cells))
 
 
 def export_csv(obj: Union[RunResult, MonteCarloAggregate], path: Union[str, Path]) -> None:
-    """Write a run or aggregate as CSV: one row per (step, sensor).
-
-    Floats are written with repr, which round-trips float64 exactly.
-    """
+    """Write a run or aggregate as CSV: one row per (step, sensor)."""
     if isinstance(obj, MonteCarloAggregate):
         d = obj.mean_tilde.shape[2]
         header = (
@@ -584,35 +614,16 @@ def export_csv(obj: Union[RunResult, MonteCarloAggregate], path: Union[str, Path
             + [f"mean_tilde_{l}" for l in range(1, d + 1)]
             + [f"var_tilde_{l}" for l in range(1, d + 1)]
         )
-
-        def row(k: int, i: int) -> list[str]:
-            return (
-                [str(k), str(i), _fmt(obj.mean_error_norm[i - 1, k])]
-                + [_fmt(v) for v in obj.mean_tilde[i - 1, k]]
-                + [_fmt(v) for v in obj.var_tilde[i - 1, k]]
-            )
-
-        n, steps = obj.mean_error_norm.shape
+        values = np.concatenate(
+            [obj.mean_error_norm[:, :, None], obj.mean_tilde, obj.var_tilde], axis=2
+        )
     elif isinstance(obj, RunResult):
         d = obj.theta_hat.shape[2]
         header = ["k", "i", "error_norm"] + [f"theta_hat_{l}" for l in range(1, d + 1)]
-
-        def row(k: int, i: int) -> list[str]:
-            return [str(k), str(i), _fmt(obj.error_norm[i - 1, k])] + [
-                _fmt(v) for v in obj.theta_hat[i - 1, k]
-            ]
-
-        n, steps = obj.error_norm.shape
+        values = np.concatenate([obj.error_norm[:, :, None], obj.theta_hat], axis=2)
     else:
         raise TypeError(f"cannot export object of type {type(obj).__name__}")
-    try:
-        with open(path, "w", newline="") as f:
-            f.write(",".join(header) + "\n")
-            for k in range(steps):
-                for i in range(1, n + 1):
-                    f.write(",".join(row(k, i)) + "\n")
-    except OSError as e:
-        raise OSError(f"cannot write {path}: {e.strerror or e}") from e
+    write_csv(path, ",".join(header), step_rows(values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -644,7 +655,7 @@ def check_scenario(
     level omega, and audits the step-size schedule. Single-sensor excitation
     is reported informationally; it is allowed to fail.
     """
-    K = s.horizon if horizon is None else int(horizon)
+    K = _horizon(s, horizon)
     tables = step_tables(s, K)
     problems: list[str] = []
     bounds = tuple(g.bound for g in s.generators)

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dremnet
 from dremnet.cli import main
 
 
@@ -29,6 +32,10 @@ class TestRun:
     def test_unwritable_out(self, capsys):
         assert main(["run", "--steps", "2", "--out", "/nonexistent/x.csv"]) == 2
         assert "/nonexistent/x.csv" in capsys.readouterr().err
+
+    def test_negative_steps(self, capsys):
+        assert main(["run", "--steps", "-1"]) == 1
+        assert "error: horizon must be nonnegative, got -1" in capsys.readouterr().err
 
 
 class TestMc:
@@ -126,16 +133,27 @@ class TestCompare:
         assert lines[0] == "k,i,l,mc_mean,oracle_mean,mc_var,oracle_var_exact,oracle_var_bound"
         assert len(lines) == 1 + 4 * 4 * 2
 
+    def test_single_run_has_no_standard_error(self, capsys):
+        # one run has no sample variance, so a z-score would be meaningless
+        assert main(["compare", "--runs", "1", "--steps", "3", "--at", "3"]) == 1
+        captured = capsys.readouterr()
+        assert "--runs" in captured.err
+        assert "standard errors" not in captured.out
+
     def test_bad_checkpoint(self, capsys):
         assert main(["compare", "--runs", "4", "--steps", "5", "--at", "99"]) == 1
         assert "checkpoint" in capsys.readouterr().err
 
 
 def test_module_entry_point():
+    # the child imports the same dremnet as the test session, installed or not
+    src = str(Path(dremnet.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "dremnet", "run", "--steps", "5"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "horizon 5" in proc.stdout

@@ -8,7 +8,6 @@ from dremnet.drem import (
     determinant,
     drem_transform,
     extend,
-    message_row,
     mix,
     stack_regressors,
 )
@@ -212,10 +211,3 @@ class TestDremTransform:
         assert msg.delta_bar == ref.delta_bar
         assert np.array_equal(msg.ybar, ref.ybar)
 
-
-def test_message_row_format():
-    msg, _ = drem_transform(2, 4, [np.array([2.0, 3.0]), np.array([1.0, 2.0])], [2.0, 0.5])
-    row = message_row(msg)
-    assert row[0] == 4 and row[1] == 2
-    assert row[2] == msg.delta_bar
-    assert row[3:] == [float(msg.ybar[0]), float(msg.ybar[1])]

@@ -271,6 +271,10 @@ class TestRunSingle:
         # initial error norm is ||theta|| for zero initialization
         np.testing.assert_allclose(res.error_norm[:, 0], math.sqrt(7.25), rtol=1e-12)
 
+    def test_negative_horizon(self, sec5):
+        with pytest.raises(ValueError, match="horizon must be nonnegative, got -1"):
+            run_single(sec5, seed=5, horizon=-1)
+
     def test_payload_accounting(self, sec5):
         res = run_single(sec5, seed=5, horizon=500)
         assert res.payload_size == 3
