@@ -30,7 +30,6 @@ from typing import Optional
 
 import numpy as np
 
-from .drem import adjugate
 from .harness import Scenario, check_scenario, step_rows, step_tables, write_csv
 from .topology import neighborhood_values
 
@@ -39,7 +38,6 @@ __all__ = [
     "MomentTrajectory",
     "TheoremReport",
     "beta",
-    "mixed_noise_variance",
     "step_coefficients",
     "mean_recursion",
     "covariance_recursion",
@@ -58,22 +56,6 @@ def beta(alpha: float, mu: float, gated_sum: float) -> float:
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     return alpha * gated_sum / (mu + gated_sum)
-
-
-def mixed_noise_variance(phi: np.ndarray, variance: float, channel: int) -> float:
-    """Variance of channel l of adj(Phi) applied to i.i.d. noise of variance R.
-
-    ``channel`` is 1-based, matching the channel indexing everywhere else.
-    Returns R times the squared norm of row l of adj(Phi).
-    """
-    if variance < 0:
-        raise ValueError(f"variance must be nonnegative, got {variance}")
-    phi = np.asarray(phi, dtype=float)
-    d = phi.shape[0]
-    if not 1 <= channel <= d:
-        raise ValueError(f"channel {channel} out of range 1..{d}")
-    row = adjugate(phi)[channel - 1]
-    return variance * float(np.dot(row, row))
 
 
 @dataclass(frozen=True, eq=False)

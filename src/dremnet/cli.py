@@ -15,6 +15,7 @@ import numpy as np
 from .analysis import export_oracle_csv, moments
 from .harness import (
     ScenarioError,
+    _horizon,
     builtin_scenarios,
     check_scenario,
     export_csv,
@@ -150,18 +151,20 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.runs < 2:
         raise ValueError(f"--runs must be at least 2 to estimate a variance, got {args.runs}")
     s = load_scenario(args.scenario)
+    horizon = _horizon(s, args.steps)
+    checkpoints = []  # parsed before the simulation, so a typo costs no run
+    for tok in filter(None, map(str.strip, args.at.split(","))):
+        try:
+            k = int(tok)
+        except ValueError:
+            raise ValueError(f"--at: expected comma-separated integers, got {tok!r}") from None
+        if not 0 <= k <= horizon:
+            raise ValueError(f"--at: checkpoint {k} outside 0..{horizon}")
+        checkpoints.append(k)
     agg = run_monte_carlo(
         s, args.runs, args.seed, workers=args.workers, horizon=args.steps
     )
     m = moments(s, horizon=args.steps)
-    checkpoints = []
-    for tok in args.at.split(","):
-        tok = tok.strip()
-        if tok:
-            k = int(tok)
-            if not 0 <= k <= agg.horizon:
-                raise ValueError(f"checkpoint {k} outside 0..{agg.horizon}")
-            checkpoints.append(k)
     print(f"scenario {args.scenario}, {agg.runs} runs vs oracle, horizon {agg.horizon}")
     for k in checkpoints:
         se = np.sqrt(np.maximum(agg.var_tilde[:, k], 1e-300) / agg.runs)

@@ -54,73 +54,87 @@ def stack_regressors(history: Sequence[np.ndarray]) -> np.ndarray:
     return m
 
 
-def _cofactor_det(m: np.ndarray) -> float:
-    d = m.shape[0]
-    if d == 1:
-        return float(m[0, 0])
-    if d == 2:
-        (a, b), (c, e) = m.tolist()
-        return a * e - b * c
+# The det/adj kernels work on one tolist() of the matrix, the row list ``a``;
+# a minor is named by its row and column index lists.
+def _cofactor_det(a: list, rows: list, cols: list) -> float:
+    if len(rows) == 1:
+        return a[rows[0]][cols[0]]
+    if len(rows) == 2:
+        (r0, r1), (c0, c1) = rows, cols
+        return a[r0][c0] * a[r1][c1] - a[r0][c1] * a[r1][c0]
     total = 0.0
-    sub = np.delete(m, 0, axis=0)
-    for c in range(d):
-        term = m[0, c] * _cofactor_det(np.delete(sub, c, axis=1))
+    top, rest = a[rows[0]], rows[1:]
+    for c, col in enumerate(cols):
+        term = top[col] * _cofactor_det(a, rest, cols[:c] + cols[c + 1 :])
         total += term if c % 2 == 0 else -term
     return total
 
 
-def _bareiss_det(m: np.ndarray) -> float:
+def _bareiss_det(a: list) -> float:
     # Fraction-free elimination: every division is exact on integer input.
     # Partial pivoting by magnitude keeps the float path stable; row swaps
-    # only flip the sign.
-    a = m.copy()
-    d = a.shape[0]
+    # only flip the sign. ``a`` is overwritten.
+    d = len(a)
     sign = 1.0
     prev = 1.0
     for p in range(d - 1):
-        piv = int(np.argmax(np.abs(a[p:, p]))) + p
-        if a[piv, p] == 0.0:
+        # the first largest magnitude, as np.argmax picks it (a NaN counts as largest)
+        piv = int(np.argmax([abs(row[p]) for row in a[p:]])) + p
+        if a[piv][p] == 0.0:
             return 0.0
         if piv != p:
-            a[[p, piv]] = a[[piv, p]]
+            a[p], a[piv] = a[piv], a[p]
             sign = -sign
-        for r in range(p + 1, d):
-            a[r, p + 1:] = (a[r, p + 1:] * a[p, p] - a[r, p] * a[p, p + 1:]) / prev
-            a[r, p] = 0.0
-        prev = a[p, p]
-    return float(sign * a[d - 1, d - 1])
+        top = a[p]
+        for row in a[p + 1 :]:
+            lead = row[p]
+            for c in range(p + 1, d):
+                row[c] = (row[c] * top[p] - lead * top[c]) / prev
+            row[p] = 0.0
+        prev = top[p]
+    return sign * a[d - 1][d - 1]
+
+
+def _det(a: list, rows: Optional[list] = None, cols: Optional[list] = None) -> float:
+    if rows is None:
+        rows = cols = list(range(len(a)))
+    if len(rows) <= _COFACTOR_MAX:
+        return _cofactor_det(a, rows, cols)
+    return _bareiss_det([[a[r][c] for c in cols] for r in rows])
+
+
+def _adj(a: list) -> np.ndarray:
+    d = len(a)
+    if d == 1:
+        return np.ones((1, 1))
+    if d == 2:
+        (p, q), (r, s) = a
+        return np.array([[s, -q], [-r, p]])
+    idx = list(range(d))
+    out = [[0.0] * d for _ in idx]
+    for r in idx:
+        for c in idx:
+            cof = _det(a, idx[:r] + idx[r + 1 :], idx[:c] + idx[c + 1 :])
+            # transposed cofactor matrix
+            out[c][r] = cof if (r + c) % 2 == 0 else -cof
+    return np.array(out)
+
+
+def _square_rows(m: np.ndarray, what: str) -> list:
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{what} needs a square matrix, got shape {m.shape}")
+    return m.tolist()
 
 
 def determinant(m: np.ndarray) -> float:
     """det(M); cofactor expansion for d <= 4, fraction-free elimination above."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"determinant needs a square matrix, got shape {m.shape}")
-    if m.shape[0] <= _COFACTOR_MAX:
-        return _cofactor_det(m)
-    return _bareiss_det(m)
+    return _det(_square_rows(m, "determinant"))
 
 
 def adjugate(m: np.ndarray) -> np.ndarray:
     """adj(M), satisfying adj(M) @ M = det(M) * I; defined for singular M too."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"adjugate needs a square matrix, got shape {m.shape}")
-    d = m.shape[0]
-    if d == 1:
-        return np.ones((1, 1))
-    if d == 2:
-        (a, b), (c, e) = m.tolist()
-        return np.array([e, -b, -c, a]).reshape(2, 2)
-    out = np.empty((d, d))
-    for r in range(d):
-        rows = np.delete(m, r, axis=0)
-        for c in range(d):
-            minor = np.delete(rows, c, axis=1)
-            cof = determinant(minor)
-            # transposed cofactor matrix
-            out[c, r] = cof if (r + c) % 2 == 0 else -cof
-    return out
+    return _adj(_square_rows(m, "adjugate"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +149,8 @@ class ExtendedRegressor:
 def extend(history: Sequence[np.ndarray]) -> ExtendedRegressor:
     """Build the extended regressor from the last d regressors, newest first."""
     phi = stack_regressors(history)
-    return ExtendedRegressor(phi=phi, det=determinant(phi), adj=adjugate(phi))
+    a = phi.tolist()
+    return ExtendedRegressor(phi=phi, det=_det(a), adj=_adj(a))
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,13 +174,16 @@ class MixedNoise:
     vbar: np.ndarray
 
 
-def _adj_apply(adj: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    # columnwise accumulation; batched runs replay this exact op order so the
-    # two engines agree bit for bit
-    out = np.zeros(adj.shape[0])
-    for r in range(adj.shape[1]):
-        out += adj[:, r] * stack[r]
-    return out
+def _adj_apply(adj: np.ndarray, stack: Sequence[float]) -> np.ndarray:
+    # columnwise accumulation from +0.0, r ascending; batched runs replay this
+    # exact op order so the two engines agree bit for bit
+    out = []
+    for row in adj.tolist():
+        acc = 0.0
+        for a, y in zip(row, stack):
+            acc += a * y
+        out.append(acc)
+    return np.array(out)
 
 
 def mix(ext: ExtendedRegressor, y_stack: Sequence[float], sensor: int = 0, step: int = 0) -> DremMessage:
@@ -178,7 +196,7 @@ def mix(ext: ExtendedRegressor, y_stack: Sequence[float], sensor: int = 0, step:
     d = ext.phi.shape[0]
     if y.shape != (d,):
         raise ValueError(f"measurement stack must have shape ({d},), got {y.shape}")
-    return DremMessage(ybar=_adj_apply(ext.adj, y), delta_bar=ext.det, sensor=sensor, step=step)
+    return DremMessage(ybar=_adj_apply(ext.adj, y.tolist()), delta_bar=ext.det, sensor=sensor, step=step)
 
 
 def drem_transform(
@@ -188,24 +206,15 @@ def drem_transform(
     y_history: Sequence[float],
     noise_history: Optional[Sequence[float]] = None,
 ) -> tuple[DremMessage, Optional[MixedNoise]]:
-    """Produce the sensor's broadcast message for time ``step``.
+    """Produce the (message, mixed noise or None) of 1-based ``sensor`` at time ``step``.
 
-    Histories are newest first. A full window has d entries, d being the
-    regressor dimension; with fewer (the first d-1 steps) the sensor emits the
-    inert warm-up message ybar = 0, delta_bar = 0. When ``noise_history`` is
-    given (instrumented runs) the matching mixed noise is returned as well.
-
-    Args:
-        sensor: 1-based sensor id stamped on the message.
-        step: time index k stamped on the message.
-        phi_history: regressors phi(k), phi(k-1), ...
-        y_history: measurements y(k), y(k-1), ...
-        noise_history: optional raw noise v(k), v(k-1), ...
-
-    Returns:
-        (message, mixed noise or None).
+    The histories of regressors phi, measurements y and, in instrumented runs,
+    raw noise v run newest first: phi(k), phi(k-1), ... A full window has d
+    entries, d being the regressor dimension; with fewer (the first d-1 steps)
+    the sensor emits the inert warm-up message ybar = 0, delta_bar = 0. The
+    mixed noise is returned only when ``noise_history`` is given.
     """
-    d = len(np.asarray(phi_history[0], dtype=float))
+    d = len(phi_history[0])
     if len(phi_history) < d:
         msg = DremMessage(ybar=np.zeros(d), delta_bar=0.0, sensor=sensor, step=step)
         vbar = MixedNoise(vbar=np.zeros(d)) if noise_history is not None else None
@@ -214,7 +223,7 @@ def drem_transform(
     msg = mix(ext, list(y_history)[:d], sensor=sensor, step=step)
     vbar = None
     if noise_history is not None:
-        v = np.asarray(list(noise_history)[:d], dtype=float)
+        v = [float(x) for x in list(noise_history)[:d]]
         vbar = MixedNoise(vbar=_adj_apply(ext.adj, v))
     return msg, vbar
 

@@ -21,7 +21,8 @@ overlap: no raw measurement is used twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -61,7 +62,7 @@ class NodeState:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if self.counter < 0:
             raise ValueError(f"counter must be nonnegative, got {self.counter}")
-        if not np.all(np.isfinite(th)):
+        if not all(map(math.isfinite, th.ravel().tolist())):
             raise ValueError("theta_hat must be finite")
 
 
@@ -208,17 +209,19 @@ def update_estimate(state: NodeState, gated: Sequence[GatedMessage], alpha: floa
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    th = state.theta_hat
-    num = np.zeros_like(th)
+    th = state.theta_hat.tolist()
+    num = [0.0] * len(th)
     s = 0.0
     # fixed accumulation order (gate() sorts by sensor id) so the batched
     # engine can replay the identical float sequence
     for m in gated:
-        num += m.delta * (m.ybar - m.delta * th)
-        s += m.delta * m.delta
+        dl = m.delta
+        num = [nu + dl * (y - dl * t) for nu, y, t in zip(num, m.ybar.tolist(), th)]
+        s += dl * dl
     if s == 0.0:
-        return th.copy()
-    return th + (alpha * num) / (state.mu + s)
+        return state.theta_hat.copy()
+    den = state.mu + s
+    return np.array([t + (alpha * nu) / den for t, nu in zip(th, num)])
 
 
 def update_counter(counter: int, gated_sum: float, d: int) -> int:
@@ -255,4 +258,4 @@ def node_step(
     s = gated_sum(gated)
     effective = s != 0.0 and state.counter >= d
     counter_next = update_counter(state.counter, s, d)
-    return replace(state, theta_hat=theta_next, counter=counter_next), effective
+    return NodeState(theta_hat=theta_next, counter=counter_next, mu=state.mu), effective

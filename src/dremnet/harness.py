@@ -49,6 +49,7 @@ from .model import (
 from .topology import (
     GraphSchedule,
     closed_in_neighborhood,
+    edges_at,
     graph_from_config,
     in_neighbors,
     neighborhood_index,
@@ -403,47 +404,54 @@ def run_single(
         NodeState(theta_hat=s.theta_hat0[i - 1].copy(), counter=0, mu=s.mu[i - 1])
         for i in range(1, n + 1)
     ]
-    traj = np.zeros((n, K + 1, d))
-    traj[:, 0] = s.theta_hat0
-    eff = np.zeros((n, K), dtype=bool)
-    counters = np.zeros((n, K + 1), dtype=np.int64)
+    # per sensor: the estimates and counters after each step, the effective flags
+    thetas: list[list[np.ndarray]] = [[th] for th in s.theta_hat0]
+    counts: list[list[int]] = [[0] for _ in range(n)]
+    eff: list[list[bool]] = [[] for _ in range(n)]
     payload_total = 0
     consumed: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     phi_hist: list[list[np.ndarray]] = [[] for _ in range(n)]
     y_hist: list[list[float]] = [[] for _ in range(n)]
+    # edge set -> per sensor (in-neighbours, out-degree), queried once per edge set
+    hoods: dict = {}
     for k in range(K):
+        edges = edges_at(s.graph, k)
+        if edges not in hoods:
+            hoods[edges] = [
+                (in_neighbors(s.graph, i, k), len(out_neighbors(s.graph, i, k)))
+                for i in range(1, n + 1)
+            ]
+        hood = hoods[edges]
         msgs = {}
         for i in range(1, n + 1):
             p = regressor_at(s.generators[i - 1], k)
             v = sample_noise(nm, i, k)
             y = measure(s.theta, p, 0.0) + v
-            phi_hist[i - 1].insert(0, p)
-            y_hist[i - 1].insert(0, y)
-            if len(phi_hist[i - 1]) > d:
-                phi_hist[i - 1].pop()
-                y_hist[i - 1].pop()
+            phi_hist[i - 1] = [p, *phi_hist[i - 1][: d - 1]]  # newest first, at most d
+            y_hist[i - 1] = [y, *y_hist[i - 1][: d - 1]]
             msg, _ = drem_transform(i, k, phi_hist[i - 1], y_hist[i - 1])
             assert msg.payload_size == d + 1, "message payload must be d+1 reals"
-            payload_total += msg.payload_size * len(out_neighbors(s.graph, i, k))
+            payload_total += msg.payload_size * hood[i - 1][1]
             msgs[i] = msg
         for i in range(1, n + 1):
-            received = [msgs[j] for j in in_neighbors(s.graph, i, k)]
+            received = [msgs[j] for j in hood[i - 1][0]]
             state, effective = node_step(states[i - 1], k, msgs[i], received, s.schedule, d)
             if instrument and effective:
                 for j in closed_in_neighborhood(s.graph, i, k):
                     if msgs[j].delta_bar != 0.0:
                         consumed[i - 1].extend((j, t) for t in range(k - d + 1, k + 1))
-            eff[i - 1, k] = effective
+            eff[i - 1].append(effective)
             states[i - 1] = state
-            counters[i - 1, k + 1] = state.counter
-            traj[i - 1, k + 1] = state.theta_hat
+            counts[i - 1].append(state.counter)
+            thetas[i - 1].append(state.theta_hat)
+    traj = np.array(thetas, dtype=float).reshape(n, K + 1, d)
     return RunResult(
         seed=seed,
         horizon=K,
         theta_hat=traj,
         error_norm=_channel_norm(traj - s.theta),
-        effective=eff,
-        counters=counters,
+        effective=np.array(eff, dtype=bool).reshape(n, K),
+        counters=np.array(counts, dtype=np.int64).reshape(n, K + 1),
         payload_size=d + 1,
         payload_total=payload_total,
         consumed=tuple(tuple(c) for c in consumed) if instrument else None,

@@ -17,8 +17,8 @@ exact same values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Optional, Union
 
 import numpy as np
 
@@ -40,22 +40,18 @@ _MASK64 = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
 
 
-def _coerce_vectors(vectors) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(float(x) for x in v) for v in vectors)
-
-
 @dataclass(frozen=True)
-class PeriodicList:
-    """Cycles through a fixed list of vectors: phi(k) = vectors[k mod len]."""
+class _VectorList:
+    """A non-empty list of vectors of one dimension; the generators below read it."""
 
     vectors: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vectors", _coerce_vectors(self.vectors))
+        object.__setattr__(self, "vectors", tuple(tuple(float(x) for x in v) for v in self.vectors))
         if not self.vectors:
-            raise ValueError("PeriodicList needs at least one vector")
+            raise ValueError(f"{type(self).__name__} needs at least one vector")
         if len({len(v) for v in self.vectors}) != 1:
-            raise ValueError("PeriodicList vectors must share one dimension")
+            raise ValueError(f"{type(self).__name__} vectors must share one dimension")
 
     @property
     def dimension(self) -> int:
@@ -65,6 +61,11 @@ class PeriodicList:
     def bound(self) -> float:
         """Declared sup-norm bound on every emitted vector."""
         return max(abs(x) for v in self.vectors for x in v)
+
+
+@dataclass(frozen=True)
+class PeriodicList(_VectorList):
+    """Cycles through a fixed list of vectors: phi(k) = vectors[k mod len]."""
 
     def vector_at(self, k: int) -> np.ndarray:
         return np.array(self.vectors[k % len(self.vectors)], dtype=float)
@@ -152,25 +153,8 @@ class Constant:
 
 
 @dataclass(frozen=True)
-class CustomTable:
+class CustomTable(_VectorList):
     """Explicit per-step vectors; steps beyond the table hold the last entry."""
-
-    vectors: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vectors", _coerce_vectors(self.vectors))
-        if not self.vectors:
-            raise ValueError("CustomTable needs at least one vector")
-        if len({len(v) for v in self.vectors}) != 1:
-            raise ValueError("CustomTable vectors must share one dimension")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.vectors[0])
-
-    @property
-    def bound(self) -> float:
-        return max(abs(x) for v in self.vectors for x in v)
 
     def vector_at(self, k: int) -> np.ndarray:
         return np.array(self.vectors[min(k, len(self.vectors) - 1)], dtype=float)
@@ -213,10 +197,16 @@ def generator_from_config(cfg: dict) -> RegressorGenerator:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-sensor Gaussian noise variances plus the run seed."""
+    """Per-sensor Gaussian noise variances plus the run seed.
+
+    Caches, ignored by ==, hash and repr: each sensor's Philox key, derived on
+    first use, and the one generator that :func:`sample_noise` reuses.
+    """
 
     variances: tuple[float, ...]
     seed: int
+    _keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _philox: Optional[np.random.Philox] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variances", tuple(float(r) for r in self.variances))
@@ -225,16 +215,12 @@ class NoiseModel:
                 raise ValueError(f"noise variance R_{i} must be finite and >= 0, got {r}")
 
 
-def _philox_key(seed: int, sensor: int) -> np.ndarray:
-    return np.random.SeedSequence((seed & _MASK64, sensor)).generate_state(2, np.uint64)
-
-
-def _gauss_from_words(w0: np.ndarray, w1: np.ndarray) -> np.ndarray:
-    # Box-Muller on the top 53 bits of two Philox words; u1 is kept in (0, 1]
-    # so the log never sees zero
-    u1 = ((w0 >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
-    u2 = (w1 >> np.uint64(11)).astype(np.float64) * _INV_2_53
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+def _philox_key(model: NoiseModel, sensor: int) -> list[int]:
+    key = model._keys.get(sensor)
+    if key is None:
+        seq = np.random.SeedSequence((model.seed & _MASK64, sensor))
+        key = model._keys[sensor] = seq.generate_state(2, np.uint64).tolist()
+    return key
 
 
 def _check_sensor(model: NoiseModel, sensor: int) -> None:
@@ -251,21 +237,42 @@ def noise_block(model: NoiseModel, sensor: int, steps: int) -> np.ndarray:
     _check_sensor(model, sensor)
     if steps <= 0:
         return np.zeros(0)
-    raw = np.random.Philox(key=_philox_key(model.seed, sensor), counter=[0, 0, 0, 0])
+    raw = np.random.Philox(key=np.array(_philox_key(model, sensor), dtype=np.uint64))
     words = raw.random_raw(4 * steps).reshape(steps, 4)
+    # Box-Muller on the top 53 bits of two Philox words; u1 is kept in (0, 1]
+    # so the log never sees zero
+    u1 = ((words[:, 0] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
+    u2 = (words[:, 1] >> np.uint64(11)).astype(np.float64) * _INV_2_53
     sigma = math.sqrt(model.variances[sensor - 1])
-    return sigma * _gauss_from_words(words[:, 0], words[:, 1])
+    return sigma * (np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2))
 
 
 def sample_noise(model: NoiseModel, sensor: int, k: int) -> float:
-    """One Gaussian draw v_sensor(k), deterministic in (seed, sensor, k)."""
+    """One Gaussian draw v_sensor(k), deterministic in (seed, sensor, k).
+
+    The model's one generator is reset in full (key, counter, buffer) before
+    every draw, so draws may come in any order, but not from two threads.
+    """
     _check_sensor(model, sensor)
     if k < 0:
         raise ValueError(f"time step must be >= 0, got {k}")
-    raw = np.random.Philox(key=_philox_key(model.seed, sensor), counter=[k, 0, 0, 0])
-    words = raw.random_raw(2)
+    if model._philox is None:
+        object.__setattr__(model, "_philox", np.random.Philox(key=0))
+    raw = model._philox
+    raw.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [k, 0, 0, 0], "key": _philox_key(model, sensor)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    w0, w1 = raw.random_raw(2).tolist()
+    # noise_block's Box-Muller on floats: the int-to-float steps are exact, and
+    # log and cos stay numpy's so that they round as there
+    u1 = (float(w0 >> 11) + 1.0) * _INV_2_53
+    u2 = float(w1 >> 11) * _INV_2_53
+    (log_u1,) = np.log([u1]).tolist()
+    (cos_u2,) = np.cos([2.0 * math.pi * u2]).tolist()
     sigma = math.sqrt(model.variances[sensor - 1])
-    return float(sigma * _gauss_from_words(words[0:1], words[1:2])[0])
+    return sigma * (math.sqrt(-2.0 * log_u1) * cos_u2)
 
 
 def measure(theta: np.ndarray, phi: np.ndarray, noise: float) -> float:

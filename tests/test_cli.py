@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import dremnet
+import dremnet.cli
 from dremnet.cli import main
 
 
@@ -143,6 +144,21 @@ class TestCompare:
     def test_bad_checkpoint(self, capsys):
         assert main(["compare", "--runs", "4", "--steps", "5", "--at", "99"]) == 1
         assert "checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "at, message",
+        [
+            ("ten", "--at: expected comma-separated integers, got 'ten'"),
+            ("9999", "--at: checkpoint 9999 outside 0..500"),
+        ],
+    )
+    def test_checkpoints_checked_before_simulating(self, monkeypatch, capsys, at, message):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("run_monte_carlo called before --at was checked")
+
+        monkeypatch.setattr(dremnet.cli, "run_monte_carlo", no_simulation)
+        assert main(["compare", "--at", at]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_module_entry_point():

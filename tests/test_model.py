@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -134,11 +135,33 @@ class TestNoise:
         assert sample_noise(nm, 2, 0) == 1.1587238651692284
 
     def test_block_equals_single_draws(self):
-        nm = NoiseModel(variances=(2.0, 0.5, 1.0), seed=99)
-        for sensor in (1, 2, 3):
-            block = noise_block(nm, sensor, 64)
-            singles = np.array([sample_noise(nm, sensor, k) for k in range(64)])
-            assert np.array_equal(block, singles)
+        # bit for bit, signed zeros included, over whole horizons
+        nm = NoiseModel(variances=(2.0, 0.5, 0.0, 1.0), seed=99)
+        for sensor in (1, 2, 3, 4):
+            block = noise_block(nm, sensor, 2000)
+            singles = np.array([sample_noise(nm, sensor, k) for k in range(2000)])
+            assert singles.tobytes() == block.tobytes()
+
+    def test_draw_order_is_invisible(self):
+        keys = [(sensor, k) for sensor in (1, 2, 3) for k in range(300)]
+        reference = {key: sample_noise(NoiseModel(variances=(1.0, 0.5, 2.0), seed=8), *key) for key in keys}
+        shuffled = [keys[j] for j in np.random.default_rng(3).permutation(len(keys))]
+        a = NoiseModel(variances=(1.0, 0.5, 2.0), seed=8)
+        b = NoiseModel(variances=(1.0, 0.5, 2.0), seed=8)
+        for j, key in enumerate(shuffled):
+            # sensors interleave, and two models with one seed take turns
+            assert sample_noise(a if j % 2 else b, *key) == reference[key]
+        assert [sample_noise(a, *key) for key in keys] == [reference[key] for key in keys]
+
+    def test_pickle_after_draws(self):
+        nm = NoiseModel(variances=(1.0, 3.0), seed=41)
+        before = [sample_noise(nm, sensor, k) for sensor in (1, 2) for k in range(20)]
+        noise_block(nm, 2, 5)
+        clone = pickle.loads(pickle.dumps(nm))
+        assert clone == nm and hash(clone) == hash(nm)
+        after = [sample_noise(clone, sensor, k) for sensor in (1, 2) for k in range(20)]
+        assert after == before
+        assert noise_block(clone, 1, 20).tobytes() == np.array(before[:20]).tobytes()
 
     def test_streams_differ_across_sensors_and_seeds(self):
         a = noise_block(NoiseModel(variances=(1.0, 1.0), seed=1), 1, 32)
