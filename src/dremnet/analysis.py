@@ -128,12 +128,19 @@ def covariance_recursion(
     """
     coef = step_coefficients(s, horizon)
     n, K = coef.beta.shape
+    damp = 1.0 - coef.beta
+    # one scalar recursion per (sensor, channel) on Python floats, which round as
+    # numpy's elementwise operations do (CPython fuses no multiply-add)
+    eps = coef.epsilon.transpose(0, 2, 1).tolist()
     exact = np.zeros((n, K + 1, s.d))
     bound = np.zeros((n, K + 1, s.d))
-    for k in range(K):
-        damp = 1.0 - coef.beta[:, k]
-        exact[:, k + 1] = (damp * damp)[:, None] * exact[:, k] + coef.epsilon[:, k]
-        bound[:, k + 1] = damp[:, None] * bound[:, k] + coef.epsilon[:, k]
+    for i, (damp_i, sq_i, eps_i) in enumerate(zip(damp.tolist(), (damp * damp).tolist(), eps)):
+        for l, eps_il in enumerate(eps_i):
+            ex, bd = [e := 0.0], [b := 0.0]
+            for dk, sq, ek in zip(damp_i, sq_i, eps_il):
+                ex.append(e := sq * e + ek)
+                bd.append(b := dk * b + ek)
+            exact[i, :, l], bound[i, :, l] = ex, bd
     return exact, bound
 
 

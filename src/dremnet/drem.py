@@ -54,19 +54,34 @@ def stack_regressors(history: Sequence[np.ndarray]) -> np.ndarray:
     return m
 
 
+# the one copy of the 2x2 formulas, for the matrix [[p, q], [r, s]]
+def _det2(p: float, q: float, r: float, s: float) -> float:
+    return p * s - q * r
+
+
+def _det_adj2(p: float, q: float, r: float, s: float) -> tuple[float, np.ndarray]:
+    return _det2(p, q, r, s), np.array((s, -q, -r, p)).reshape(2, 2)
+
+
 # The det/adj kernels work on one tolist() of the matrix, the row list ``a``;
-# a minor is named by its row and column index lists.
-def _cofactor_det(a: list, rows: list, cols: list) -> float:
+# a minor is named by its row and column index lists. ``memo``, when given,
+# holds the dets of minors of three or more rows by (rows, cols).
+def _cofactor_det(a: list, rows: list, cols: list, memo: Optional[dict] = None) -> float:
     if len(rows) == 1:
         return a[rows[0]][cols[0]]
     if len(rows) == 2:
         (r0, r1), (c0, c1) = rows, cols
-        return a[r0][c0] * a[r1][c1] - a[r0][c1] * a[r1][c0]
+        return _det2(a[r0][c0], a[r0][c1], a[r1][c0], a[r1][c1])
+    key = memo is not None and (tuple(rows), tuple(cols))
+    if key and key in memo:
+        return memo[key]
     total = 0.0
     top, rest = a[rows[0]], rows[1:]
     for c, col in enumerate(cols):
-        term = top[col] * _cofactor_det(a, rest, cols[:c] + cols[c + 1 :])
+        term = top[col] * _cofactor_det(a, rest, cols[:c] + cols[c + 1 :], memo)
         total += term if c % 2 == 0 else -term
+    if key:
+        memo[key] = total
     return total
 
 
@@ -95,11 +110,13 @@ def _bareiss_det(a: list) -> float:
     return sign * a[d - 1][d - 1]
 
 
-def _det(a: list, rows: Optional[list] = None, cols: Optional[list] = None) -> float:
+def _det(
+    a: list, rows: Optional[list] = None, cols: Optional[list] = None, memo: Optional[dict] = None
+) -> float:
     if rows is None:
         rows = cols = list(range(len(a)))
     if len(rows) <= _COFACTOR_MAX:
-        return _cofactor_det(a, rows, cols)
+        return _cofactor_det(a, rows, cols, memo)
     return _bareiss_det([[a[r][c] for c in cols] for r in rows])
 
 
@@ -108,13 +125,15 @@ def _adj(a: list) -> np.ndarray:
     if d == 1:
         return np.ones((1, 1))
     if d == 2:
-        (p, q), (r, s) = a
-        return np.array([[s, -q], [-r, p]])
+        return _det_adj2(*a[0], *a[1])[1]
     idx = list(range(d))
     out = [[0.0] * d for _ in idx]
+    # cofactor minors of four rows share their three-row minors; below four
+    # rows the lookups cost more than the shared work they save
+    memo = {} if d >= 5 else None
     for r in idx:
         for c in idx:
-            cof = _det(a, idx[:r] + idx[r + 1 :], idx[:c] + idx[c + 1 :])
+            cof = _det(a, idx[:r] + idx[r + 1 :], idx[:c] + idx[c + 1 :], memo)
             # transposed cofactor matrix
             out[c][r] = cof if (r + c) % 2 == 0 else -cof
     return np.array(out)
@@ -150,7 +169,8 @@ def extend(history: Sequence[np.ndarray]) -> ExtendedRegressor:
     """Build the extended regressor from the last d regressors, newest first."""
     phi = stack_regressors(history)
     a = phi.tolist()
-    return ExtendedRegressor(phi=phi, det=_det(a), adj=_adj(a))
+    det, adj = _det_adj2(*a[0], *a[1]) if len(a) == 2 else (_det(a), _adj(a))
+    return ExtendedRegressor(phi=phi, det=det, adj=adj)
 
 
 @dataclass(frozen=True, eq=False)

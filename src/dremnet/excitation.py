@@ -15,6 +15,7 @@ a finite trace, with windows starting after the transform's warm-up.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -98,8 +99,8 @@ def _window_margin(step_sums: np.ndarray, H: int, start: int, horizon: int) -> f
 def _check_window_args(trace: DeltaTrace, H: int, omega: float, horizon: Optional[int]) -> int:
     if H < 1:
         raise ValueError(f"window length must be positive, got {H}")
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be finite and positive, got {omega}")
     if horizon is None:
         horizon = trace.steps
     if horizon < H:
@@ -167,11 +168,13 @@ def find_certificate(
     max_h: int,
     horizon: Optional[int] = None,
 ) -> dict[int, Optional[int]]:
-    """Smallest H <= max_h certifying each sensor at level omega, else None."""
+    """Smallest H <= min(max_h, horizon) certifying each sensor at level omega, else None."""
     if max_h < 1:
         raise ValueError(f"max_h must be positive, got {max_h}")
+    # H = 1 is always tried, so a zero horizon raises
+    top = min(max_h, max(trace.steps if horizon is None else horizon, 1))
     found: dict[int, Optional[int]] = {i: None for i in range(1, trace.n + 1)}
-    for H in range(1, max_h + 1):
+    for H in range(1, top + 1):
         cert = local_pe_check(trace, g, H, omega, horizon)
         for i in range(1, trace.n + 1):
             if found[i] is None and cert.satisfied[i - 1]:

@@ -41,9 +41,8 @@ from .model import (
     RecursiveCosine,
     RegressorGenerator,
     generator_from_config,
-    measure,
     noise_block,
-    regressor_at,
+    regressor_table,
     sample_noise,
 )
 from .topology import (
@@ -112,9 +111,7 @@ class Scenario:
         if not np.all(np.isfinite(theta)):
             raise ScenarioError(f"theta must be finite, got {theta.tolist()}")
         if len(self.generators) != self.n:
-            raise ScenarioError(
-                f"generators: expected {self.n} entries, got {len(self.generators)}"
-            )
+            raise ScenarioError(f"generators: expected {self.n} entries, got {len(self.generators)}")
         for i, gen in enumerate(self.generators, start=1):
             if gen.dimension != self.d:
                 raise ScenarioError(
@@ -122,9 +119,7 @@ class Scenario:
                 )
         object.__setattr__(self, "variances", tuple(float(r) for r in self.variances))
         if len(self.variances) != self.n:
-            raise ScenarioError(
-                f"noise: expected {self.n} variances, got {len(self.variances)}"
-            )
+            raise ScenarioError(f"noise: expected {self.n} variances, got {len(self.variances)}")
         for i, r in enumerate(self.variances, start=1):
             if not (math.isfinite(r) and r >= 0.0):
                 raise ScenarioError(f"noise: variance for sensor {i} must be >= 0, got {r}")
@@ -137,9 +132,7 @@ class Scenario:
         th0 = np.asarray(self.theta_hat0, dtype=float)
         object.__setattr__(self, "theta_hat0", th0)
         if th0.shape != (self.n, self.d):
-            raise ScenarioError(
-                f"theta_hat0 must have shape ({self.n}, {self.d}), got {th0.shape}"
-            )
+            raise ScenarioError(f"theta_hat0 must have shape ({self.n}, {self.d}), got {th0.shape}")
         if not np.all(np.isfinite(th0)):
             raise ScenarioError(f"theta_hat0 must be finite, got {th0.tolist()}")
         if self.horizon < 0:
@@ -302,16 +295,20 @@ def step_tables(s: Scenario, horizon: Optional[int] = None) -> StepTables:
     """Precompute every noise-independent quantity for steps 0..horizon-1."""
     K = _horizon(s, horizon)
     n, d = s.n, s.d
-    phi = np.array([[regressor_at(g, k) for k in range(K)] for g in s.generators]).reshape(n, K, d)
+    phi = np.array([regressor_table(g, K) for g in s.generators])
     # vecdot shares the np.dot kernel of measure(); a channel loop rounds differently
     y_det = np.vecdot(phi, s.theta) + 0.0
     delta = np.zeros((n, K))
     adj = np.zeros((n, K, d, d))
     for i in range(n):
-        for k in range(d - 1, K):
-            ext = extend(phi[i, k - d + 1 : k + 1][::-1])  # newest first
-            delta[i, k] = ext.det
-            adj[i, k] = ext.adj
+        rev = phi[i, ::-1]  # rev[K-1-k : K-1-k+d] is phi(k), ..., phi(k-d+1)
+        dets, adjs = [], []
+        for j in range(K - d, -1, -1):
+            ext = extend(rev[j : j + d])
+            dets.append(ext.det)
+            adjs.append(ext.adj)
+        if dets:
+            delta[i, d - 1 :], adj[i, d - 1 :] = dets, adjs
     alpha = np.array([step_size(s.schedule, k) for k in range(K)])
     members = neighborhood_index(s.graph, K)
     dlt = neighborhood_values(members, delta)
@@ -410,6 +407,9 @@ def run_single(
     eff: list[list[bool]] = [[] for _ in range(n)]
     payload_total = 0
     consumed: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    phis = [regressor_table(g, K) for g in s.generators]
+    # vecdot shares the np.dot kernel of measure(), as in step_tables
+    y_dets = [(np.vecdot(p, s.theta) + 0.0).tolist() for p in phis]
     phi_hist: list[list[np.ndarray]] = [[] for _ in range(n)]
     y_hist: list[list[float]] = [[] for _ in range(n)]
     # edge set -> per sensor (in-neighbours, out-degree), queried once per edge set
@@ -424,9 +424,9 @@ def run_single(
         hood = hoods[edges]
         msgs = {}
         for i in range(1, n + 1):
-            p = regressor_at(s.generators[i - 1], k)
+            p = phis[i - 1][k]
             v = sample_noise(nm, i, k)
-            y = measure(s.theta, p, 0.0) + v
+            y = y_dets[i - 1][k] + v
             phi_hist[i - 1] = [p, *phi_hist[i - 1][: d - 1]]  # newest first, at most d
             y_hist[i - 1] = [y, *y_hist[i - 1][: d - 1]]
             msg, _ = drem_transform(i, k, phi_hist[i - 1], y_hist[i - 1])
@@ -547,6 +547,8 @@ def run_monte_carlo(
         raise ValueError(f"need at least one run, got {runs}")
     if chunk_runs < 1:
         raise ValueError(f"chunk size must be positive, got {chunk_runs}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     K = _horizon(s, horizon)
     tables = step_tables(s, K)
     seeds = [base_seed + r for r in range(1, runs + 1)]
@@ -677,24 +679,22 @@ def check_scenario(
             problems.append(f"sensor {i}: regressor sequence is unbounded")
     trace = DeltaTrace(values=tables.delta, d=s.d)
     pe_h = find_certificate(trace, s.graph, omega, h_max, K)
-    # one scan per distinct window: the certified H, or h_max without one
-    window = {i: h or h_max for i, h in pe_h.items()}
+    # one scan per distinct window: the certified H, or without one the
+    # longest window tried, which is never longer than the horizon
+    h_top = min(h_max, K)
+    window = {i: h or h_top for i, h in pe_h.items()}
     certs = {h: local_pe_check(trace, s.graph, h, omega, K) for h in set(window.values())}
     pe_margin = {i: certs[h].margin[i - 1] for i, h in window.items()}
-    single_pe_h: dict[int, Optional[int]] = {}
-    for i in range(1, s.n + 1):
-        single_pe_h[i] = None
-        for hh in range(1, h_max + 1):
-            sat, _ = single_sensor_pe(trace, i, hh, omega, K)
-            if sat:
-                single_pe_h[i] = hh
-                break
+    single_pe_h = {
+        i: next((h for h in range(1, h_top + 1) if single_sensor_pe(trace, i, h, omega, K)[0]), None)
+        for i in range(1, s.n + 1)
+    }
     pe_ok = all(h is not None for h in pe_h.values())
     for i, h in pe_h.items():
         if h is None:
             problems.append(
-                f"sensor {i}: no neighborhood excitation certificate with H <= {h_max}, "
-                f"omega = {omega} (margin {pe_margin[i]:.3g} at H = {h_max})"
+                f"sensor {i}: no neighborhood excitation certificate with H <= {h_top}, "
+                f"omega = {omega} (margin {pe_margin[i]:.3g} at H = {h_top})"
             )
     sched = tuple(schedule_violations(s.schedule, K) + asymptotic_violations(s.schedule))
     problems.extend(sched)

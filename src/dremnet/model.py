@@ -29,6 +29,7 @@ __all__ = [
     "CustomTable",
     "RegressorGenerator",
     "regressor_at",
+    "regressor_table",
     "generator_from_config",
     "NoiseModel",
     "sample_noise",
@@ -40,6 +41,15 @@ _MASK64 = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
 
 
+def _finite(values, what: str) -> tuple[float, ...]:
+    """The values as a tuple of floats; raises ValueError naming ``what`` on inf or NaN."""
+    out = tuple(float(x) for x in values)
+    for x in out:
+        if not math.isfinite(x):
+            raise ValueError(f"{what} must be finite, got {x}")
+    return out
+
+
 @dataclass(frozen=True)
 class _VectorList:
     """A non-empty list of vectors of one dimension; the generators below read it."""
@@ -47,7 +57,7 @@ class _VectorList:
     vectors: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vectors", tuple(tuple(float(x) for x in v) for v in self.vectors))
+        object.__setattr__(self, "vectors", tuple(_finite(v, "vector entry") for v in self.vectors))
         if not self.vectors:
             raise ValueError(f"{type(self).__name__} needs at least one vector")
         if len({len(v) for v in self.vectors}) != 1:
@@ -67,21 +77,8 @@ class _VectorList:
 class PeriodicList(_VectorList):
     """Cycles through a fixed list of vectors: phi(k) = vectors[k mod len]."""
 
-    def vector_at(self, k: int) -> np.ndarray:
-        return np.array(self.vectors[k % len(self.vectors)], dtype=float)
-
-
-# iterative-recursion values a(0), a(1), ... shared across generator instances;
-# grown on demand, never mutated in place, so concurrent readers are safe
-_RECURSION_CACHE: dict[tuple[float, float], list[float]] = {}
-
-
-def _recursion_value(initial: float, angle_step: float, k: int) -> float:
-    values = _RECURSION_CACHE.setdefault((initial, angle_step), [initial])
-    while len(values) <= k:
-        t = len(values)
-        values.append(values[-1] + math.cos(t * angle_step))
-    return values[k]
+    def rows(self, ks: np.ndarray) -> np.ndarray:
+        return np.array(self.vectors, dtype=float)[ks % len(self.vectors)]
 
 
 @dataclass(frozen=True)
@@ -91,16 +88,23 @@ class RecursiveCosine:
     The emitted vector is ``base`` with ``base[slot]`` replaced by a(k),
     starting from a(0) = ``initial``. Values are produced by the literal
     float recursion (not a closed form) so that consecutive differences
-    recover the cosine increments exactly as summed.
+    recover the cosine increments exactly as summed. Each instance keeps the
+    values computed so far, so a table of K steps costs K cosines once; the
+    list may be grown by one thread at a time.
     """
 
     base: tuple[float, ...]
     slot: int
     initial: float
     angle_step: float
+    # a(0), a(1), ... as computed so far; ignored by ==, hash and repr
+    _values: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "base", tuple(float(x) for x in self.base))
+        object.__setattr__(self, "base", _finite(self.base, "base entry"))
+        for name in ("initial", "angle_step"):
+            object.__setattr__(self, name, _finite((getattr(self, name),), name)[0])
+        self._values.append(self.initial)
         if not 0 <= self.slot < len(self.base):
             raise ValueError(f"slot {self.slot} outside base of length {len(self.base)}")
 
@@ -123,10 +127,18 @@ class RecursiveCosine:
         fixed = [abs(x) for i, x in enumerate(self.base) if i != self.slot]
         return max([slot_bound, *fixed])
 
-    def vector_at(self, k: int) -> np.ndarray:
-        v = np.array(self.base, dtype=float)
-        v[self.slot] = _recursion_value(self.initial, self.angle_step, k)
-        return v
+    def _recursion(self, steps: int) -> list[float]:
+        """a(0), a(1), ... with at least ``steps`` entries; written entries never change."""
+        values = self._values
+        for t in range(len(values), steps):
+            values.append(values[-1] + math.cos(t * self.angle_step))
+        return values
+
+    def rows(self, ks: np.ndarray) -> np.ndarray:
+        out = np.tile(np.array(self.base, dtype=float), (len(ks), 1))
+        values = self._recursion(int(ks.max(initial=-1)) + 1)
+        out[:, self.slot] = [values[k] for k in ks.tolist()]
+        return out
 
 
 @dataclass(frozen=True)
@@ -136,7 +148,7 @@ class Constant:
     vector: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vector", tuple(float(x) for x in self.vector))
+        object.__setattr__(self, "vector", _finite(self.vector, "vector entry"))
         if not self.vector:
             raise ValueError("Constant vector must be non-empty")
 
@@ -148,18 +160,19 @@ class Constant:
     def bound(self) -> float:
         return max(abs(x) for x in self.vector)
 
-    def vector_at(self, k: int) -> np.ndarray:
-        return np.array(self.vector, dtype=float)
+    def rows(self, ks: np.ndarray) -> np.ndarray:
+        return np.tile(np.array(self.vector, dtype=float), (len(ks), 1))
 
 
 @dataclass(frozen=True)
 class CustomTable(_VectorList):
     """Explicit per-step vectors; steps beyond the table hold the last entry."""
 
-    def vector_at(self, k: int) -> np.ndarray:
-        return np.array(self.vectors[min(k, len(self.vectors) - 1)], dtype=float)
+    def rows(self, ks: np.ndarray) -> np.ndarray:
+        return np.array(self.vectors, dtype=float)[np.minimum(ks, len(self.vectors) - 1)]
 
 
+# each kind's rows(ks) stacks phi(k) for every k of an integer array ks
 RegressorGenerator = Union[PeriodicList, RecursiveCosine, Constant, CustomTable]
 
 
@@ -167,7 +180,14 @@ def regressor_at(gen: RegressorGenerator, k: int) -> np.ndarray:
     """Evaluate phi(k) for a generator. k must be >= 0."""
     if k < 0:
         raise ValueError(f"regressor index must be >= 0, got {k}")
-    return gen.vector_at(k)
+    return gen.rows(np.array([k]))[0]
+
+
+def regressor_table(gen: RegressorGenerator, steps: int) -> np.ndarray:
+    """phi(0), ..., phi(steps-1) as a (steps, d) array, row k equal to ``regressor_at(gen, k)``."""
+    if steps < 0:
+        raise ValueError(f"step count must be >= 0, got {steps}")
+    return gen.rows(np.arange(steps))
 
 
 _GENERATOR_KINDS = {

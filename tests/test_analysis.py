@@ -247,6 +247,17 @@ class TestTheoremCheck:
         assert not report.ok
         assert any("excitation" in v for v in report.violations)
 
+    @pytest.mark.parametrize("K", [1, 3, 7])
+    def test_horizon_shorter_than_the_window_search(self, sec5, K):
+        report = theorem_check(sec5, horizon=K)
+        assert report.horizon == K
+        if K < 2:
+            # no window of one step certifies a sensor at k = 0
+            assert len(report.violations) == sec5.n
+            assert all(f"H <= {K}, omega = 1.0" in v for v in report.violations)
+        else:
+            assert not any("excitation" in v for v in report.violations)
+
     def test_constant_step_size_flagged(self):
         s = tiny_scenario(schedule=TableSchedule(values=(1.0,)), horizon=60)
         report = theorem_check(s)

@@ -51,6 +51,11 @@ class TestMc:
         assert main(["mc", "--runs", "0", "--steps", "4"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_bad_workers(self, workers, capsys):
+        assert main(["mc", "--runs", "4", "--steps", "4", "--workers", workers]) == 1
+        assert f"error: workers must be at least 1, got {workers}" in capsys.readouterr().err
+
 
 class TestCheckPe:
     def test_passing_scenario(self, capsys):
@@ -103,6 +108,23 @@ class TestCheckPe:
         p = tmp_path / "pe.csv"
         assert main(["check-pe", "--steps", "120", "--out", str(p)]) == 0
         assert p.read_text().startswith("sensor,bound")
+
+
+    def test_horizon_shorter_than_h_max(self, capsys):
+        assert main(["check-pe", "--steps", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [row.split(",")[2] for row in lines[1:]] == ["1", "1", "2", "2"]
+
+    def test_horizon_shorter_than_every_certificate(self, capsys):
+        assert main(["check-pe", "--steps", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "no neighborhood excitation certificate with H <= 1" in err
+        assert "at H = 1)" in err
+
+    @pytest.mark.parametrize("omega", ["nan", "inf", "-1"])
+    def test_bad_omega(self, omega, capsys):
+        assert main(["check-pe", "--steps", "20", "--omega", omega]) == 1
+        assert "error: omega must be finite and positive" in capsys.readouterr().err
 
 
 class TestOracle:

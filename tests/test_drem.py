@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dremnet.drem import (
+    _cofactor_det,
     adjugate,
     determinant,
     drem_transform,
@@ -102,6 +103,20 @@ class TestAdjugate:
     def test_singular_identity(self):
         m = np.array([[1.0, 2.0], [2.0, 4.0]])
         assert np.array_equal(adjugate(m) @ m, np.zeros((2, 2)))
+
+    def test_memoized_adjugate_equals_plain_expansion(self):
+        # d = 5 cofactors share their three-row minors through a memo; each
+        # cofactor expanded on its own must give the same bits
+        rng = np.random.default_rng(11)
+        idx = list(range(5))
+        for _ in range(30):
+            a = rng.normal(size=(5, 5)).tolist()
+            want = np.empty((5, 5))
+            for r in idx:
+                for c in idx:
+                    cof = _cofactor_det(a, idx[:r] + idx[r + 1 :], idx[:c] + idx[c + 1 :])
+                    want[c, r] = cof if (r + c) % 2 == 0 else -cof
+            assert adjugate(np.array(a)).tobytes() == want.tobytes()
 
 
 class TestStacking:

@@ -47,6 +47,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             find_certificate(trace, g, omega=1.0, max_h=0)
 
+    @pytest.mark.parametrize("omega", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_omega_must_be_finite_and_positive(self, omega):
+        trace = DeltaTrace(values=np.ones((1, 10)), d=1)
+        g = StaticGraph(n=1, edges=())
+        with pytest.raises(ValueError, match="omega must be finite and positive"):
+            local_pe_check(trace, g, H=1, omega=omega)
+        with pytest.raises(ValueError, match="omega must be finite and positive"):
+            single_sensor_pe(trace, 1, H=1, omega=omega)
+        with pytest.raises(ValueError, match="omega must be finite and positive"):
+            find_certificate(trace, g, omega=omega, max_h=3)
+
+    def test_certificate_search_stops_at_the_horizon(self):
+        # one nonzero step in four: only H = 4 certifies, and a horizon of 3
+        # allows no window that long
+        g = StaticGraph(n=1, edges=())
+        trace = DeltaTrace(values=np.array([[0.0, 0.0, 0.0, 1.0] * 3]), d=1)
+        assert find_certificate(trace, g, omega=1.0, max_h=8) == {1: 4}
+        assert find_certificate(trace, g, omega=1.0, max_h=8, horizon=3) == {1: None}
+        assert find_certificate(DeltaTrace(values=np.ones((1, 2))), g, 1.0, max_h=8) == {1: 1}
+        with pytest.raises(ValueError, match="horizon 0 is shorter than the window H=1"):
+            find_certificate(trace, g, omega=1.0, max_h=8, horizon=0)
+
 
 class TestHandTraces:
     def test_alternating_single_sensor(self):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dremnet.estimator import HarmonicSchedule, TableSchedule
+from dremnet.excitation import local_pe_check
 from dremnet.harness import (
     CHUNK_RUNS,
     Scenario,
@@ -147,6 +148,25 @@ class TestLoading:
         # the field is named once, not again by an outer handler
         with pytest.raises(ScenarioError, match=rf"^{re.escape(where)}: (?!{re.escape(where)})"):
             load_config(tmp_path, cfg)
+
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            {"kind": "periodic-list", "vectors": [["HUGE", 0.0], [0.0, 1.0]]},
+            {"kind": "recursive-cosine", "base": [0.0, 1.0], "slot": 0, "initial": "HUGE", "angle_step": 0.5},
+            {"kind": "constant", "vector": [1.0, "-HUGE"]},
+            {"kind": "custom-table", "vectors": [[1.0, 0.0], [0.0, "HUGE"]]},
+        ],
+        ids=["periodic-list", "recursive-cosine", "constant", "custom-table"],
+    )
+    def test_non_finite_regressor_names_the_generator(self, tmp_path, generator):
+        cfg = two_sensor_config()
+        cfg["model"]["generators"][1] = generator
+        p = tmp_path / "scenario.json"
+        # 1e999 overflows to inf when JSON is parsed
+        p.write_text(json.dumps(cfg).replace('"-HUGE"', "-1e999").replace('"HUGE"', "1e999"))
+        with pytest.raises(ScenarioError, match=r"^model\.generators\[2\]: .* must be finite, got -?inf$"):
+            load_scenario(p)
 
     def test_missing_field(self, tmp_path):
         cfg = two_sensor_config()
@@ -401,6 +421,9 @@ class TestMonteCarlo:
             run_monte_carlo(sec5, runs=0, base_seed=0)
         with pytest.raises(ValueError):
             run_monte_carlo(sec5, runs=4, base_seed=0, chunk_runs=0)
+        for workers in (0, -2):
+            with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+                run_monte_carlo(sec5, runs=4, base_seed=0, workers=workers)
 
 
 class TestExport:
@@ -482,6 +505,26 @@ class TestCheckScenario:
         assert not report.ok
         assert report.pe_h == {1: None}
         assert any("excitation" in p for p in report.problems)
+
+    @pytest.mark.parametrize("K", [1, 2, 5, 7])
+    def test_horizon_shorter_than_h_max(self, sec5, K):
+        # windows longer than the horizon are not tried; margins and messages
+        # are reported at the capped window
+        report = check_scenario(sec5, h_max=8, horizon=K)
+        trace = delta_traces(sec5, horizon=K)
+        top = min(8, K)
+        for i, h in report.pe_h.items():
+            assert h is None or h <= top
+            cert = local_pe_check(trace, sec5.graph, h or top, 1.0, K)
+            assert report.pe_margin[i] == cert.margin[i - 1]
+            if h is None:
+                assert f"H <= {top}, omega = 1.0 (margin" in "".join(report.problems)
+                assert f"at H = {top})" in "".join(report.problems)
+        assert all(h is None or h <= top for h in report.single_pe_h.values())
+
+    def test_horizon_zero_still_raises(self, sec5):
+        with pytest.raises(ValueError, match="horizon 0 is shorter than the window H=1"):
+            check_scenario(sec5, horizon=0)
 
     def test_flat_table_schedule_flagged(self):
         s = tiny_scenario(schedule=TableSchedule(values=(1.0,)), horizon=40)

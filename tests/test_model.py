@@ -1,5 +1,6 @@
 import math
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from dremnet.model import (
     measure,
     noise_block,
     regressor_at,
+    regressor_table,
     sample_noise,
 )
+from dremnet import model
 
 
 def recursion_oracle(initial, angle_step, steps):
@@ -94,6 +97,105 @@ class TestConstantAndTable:
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
             regressor_at(Constant(vector=(1.0,)), -1)
+
+
+def one_of_each_kind():
+    """Fresh generators of all four kinds; the table is read past its three rows."""
+    return {
+        "periodic": PeriodicList(vectors=((2.0, 3.0), (1.0, 2.0), (-0.5, 0.25))),
+        "cosine": RecursiveCosine(base=(0.0, 1.0), slot=0, initial=1.0, angle_step=math.pi / 4),
+        "constant": Constant(vector=(1.0, -2.0)),
+        "table": CustomTable(vectors=((1.0, 0.0), (0.5, 2.0), (0.0, -1.0))),
+    }
+
+
+class TestRegressorTable:
+    @pytest.mark.parametrize("steps", [0, 1, 2, 7, 1000])
+    @pytest.mark.parametrize("kind", ["periodic", "cosine", "constant", "table"])
+    def test_rows_equal_regressor_at(self, kind, steps):
+        # the table comes first, from a fresh generator, the rows from another
+        got = regressor_table(one_of_each_kind()[kind], steps)
+        gen = one_of_each_kind()[kind]
+        want = np.array([regressor_at(gen, k) for k in range(steps)]).reshape(steps, 2)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ValueError, match="step count"):
+            regressor_table(Constant(vector=(1.0,)), -1)
+
+
+class TestRecursionCache:
+    STEPS = 300
+
+    def fresh(self):
+        return RecursiveCosine(base=(1.0, 0.0), slot=1, initial=2.0, angle_step=math.pi / 3)
+
+    def literal(self):
+        return recursion_oracle(2.0, math.pi / 3, self.STEPS)
+
+    def test_call_order_does_not_matter(self):
+        backwards = self.fresh()
+        got = [regressor_at(backwards, k)[1] for k in reversed(range(self.STEPS))][::-1]
+        assert got == self.literal()
+        assert regressor_table(self.fresh(), self.STEPS)[:, 1].tolist() == self.literal()
+
+    def test_interleaved_reads(self):
+        gen = self.fresh()
+        rng = random.Random(8)
+        for _ in range(200):
+            if rng.random() < 0.2:
+                steps = rng.randrange(self.STEPS + 1)
+                assert regressor_table(gen, steps)[:, 1].tolist() == self.literal()[:steps]
+            else:
+                k = rng.randrange(self.STEPS)
+                assert regressor_at(gen, k)[1] == self.literal()[k]
+
+    def test_equal_instances_stay_equal(self):
+        a, b = self.fresh(), self.fresh()
+        regressor_table(a, self.STEPS)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert "_values" not in repr(a)
+        assert regressor_table(b, self.STEPS).tobytes() == regressor_table(a, self.STEPS).tobytes()
+
+    @pytest.mark.parametrize("grown", [False, True], ids=["fresh", "grown"])
+    def test_pickling(self, grown):
+        gen = self.fresh()
+        if grown:
+            regressor_table(gen, 17)
+        copy = pickle.loads(pickle.dumps(gen))
+        assert copy == gen
+        assert regressor_table(copy, self.STEPS)[:, 1].tolist() == self.literal()
+
+    def test_no_module_level_cache(self):
+        assert not hasattr(model, "_RECURSION_CACHE")
+        containers = {
+            name: len(v) for name, v in vars(model).items() if isinstance(v, (dict, list, set))
+        }
+        regressor_table(RecursiveCosine(base=(0.0,), slot=0, initial=0.5, angle_step=0.3), 500)
+        after = {
+            name: len(v) for name, v in vars(model).items() if isinstance(v, (dict, list, set))
+        }
+        assert after == containers
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x: PeriodicList(vectors=((1.0, 0.0), (x, 1.0))),
+            lambda x: CustomTable(vectors=((x, 0.0),)),
+            lambda x: Constant(vector=(1.0, x)),
+            lambda x: RecursiveCosine(base=(x, 0.0), slot=1, initial=0.0, angle_step=1.0),
+            lambda x: RecursiveCosine(base=(0.0, 0.0), slot=1, initial=x, angle_step=1.0),
+            lambda x: RecursiveCosine(base=(0.0, 0.0), slot=1, initial=0.0, angle_step=x),
+        ],
+        ids=["periodic", "table", "constant", "cosine-base", "cosine-initial", "cosine-angle"],
+    )
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_rejected(self, make, x):
+        with pytest.raises(ValueError, match="must be finite"):
+            make(x)
 
 
 class TestGeneratorConfig:
