@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .harness import Scenario, check_scenario, step_rows, step_tables, write_csv
+from .harness import Scenario, _horizon, check_scenario, step_rows, step_tables, write_csv
 from .topology import neighborhood_values
 
 __all__ = [
@@ -200,7 +200,7 @@ def theorem_check(
     C the realized max squared adjugate-row norm times the largest noise
     variance.
     """
-    K = s.horizon if horizon is None else int(horizon)
+    K = _horizon(s, horizon)
     report = check_scenario(s, h_max=pe_h_max, omega=pe_omega, horizon=K)
     coef = step_coefficients(s, K)
     mean = mean_recursion(s, K)

@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 __all__ = [
-    "ExtendedRegressor",
     "DremMessage",
     "MixedNoise",
     "stack_regressors",
@@ -156,21 +155,10 @@ def adjugate(m: np.ndarray) -> np.ndarray:
     return _adj(_square_rows(m, "adjugate"))
 
 
-@dataclass(frozen=True, eq=False)
-class ExtendedRegressor:
-    """The stacked regressor matrix together with its determinant and adjugate."""
-
-    phi: np.ndarray
-    det: float
-    adj: np.ndarray
-
-
-def extend(history: Sequence[np.ndarray]) -> ExtendedRegressor:
-    """Build the extended regressor from the last d regressors, newest first."""
-    phi = stack_regressors(history)
-    a = phi.tolist()
-    det, adj = _det_adj2(*a[0], *a[1]) if len(a) == 2 else (_det(a), _adj(a))
-    return ExtendedRegressor(phi=phi, det=det, adj=adj)
+def extend(history: Sequence[np.ndarray]) -> tuple[float, np.ndarray]:
+    """(det, adj) of the extended regressor stacked from the last d regressors, newest first."""
+    a = stack_regressors(history).tolist()
+    return _det_adj2(*a[0], *a[1]) if len(a) == 2 else (_det(a), _adj(a))
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,17 +194,19 @@ def _adj_apply(adj: np.ndarray, stack: Sequence[float]) -> np.ndarray:
     return np.array(out)
 
 
-def mix(ext: ExtendedRegressor, y_stack: Sequence[float], sensor: int = 0, step: int = 0) -> DremMessage:
+def mix(
+    det: float, adj: np.ndarray, y_stack: Sequence[float], sensor: int = 0, step: int = 0
+) -> DremMessage:
     """Apply the mixing step: ybar = adj(Phi) @ y_stack, delta_bar = det(Phi).
 
-    ``y_stack`` must be aligned with the regressor stack (same window, newest
-    first).
+    ``det`` and ``adj`` come from :func:`extend`; ``y_stack`` must be aligned
+    with the regressor stack (same window, newest first).
     """
     y = np.asarray(y_stack, dtype=float)
-    d = ext.phi.shape[0]
+    d = adj.shape[0]
     if y.shape != (d,):
         raise ValueError(f"measurement stack must have shape ({d},), got {y.shape}")
-    return DremMessage(ybar=_adj_apply(ext.adj, y.tolist()), delta_bar=ext.det, sensor=sensor, step=step)
+    return DremMessage(ybar=_adj_apply(adj, y.tolist()), delta_bar=det, sensor=sensor, step=step)
 
 
 def drem_transform(
@@ -239,11 +229,11 @@ def drem_transform(
         msg = DremMessage(ybar=np.zeros(d), delta_bar=0.0, sensor=sensor, step=step)
         vbar = MixedNoise(vbar=np.zeros(d)) if noise_history is not None else None
         return msg, vbar
-    ext = extend(list(phi_history)[:d])
-    msg = mix(ext, list(y_history)[:d], sensor=sensor, step=step)
+    det, adj = extend(list(phi_history)[:d])
+    msg = mix(det, adj, list(y_history)[:d], sensor=sensor, step=step)
     vbar = None
     if noise_history is not None:
         v = [float(x) for x in list(noise_history)[:d]]
-        vbar = MixedNoise(vbar=_adj_apply(ext.adj, v))
+        vbar = MixedNoise(vbar=_adj_apply(adj, v))
     return msg, vbar
 

@@ -38,7 +38,6 @@ __all__ = [
     "step_size",
     "schedule_violations",
     "asymptotic_violations",
-    "schedule_from_config",
     "gate",
     "gated_sum",
     "update_estimate",
@@ -73,8 +72,11 @@ class HarmonicSchedule:
     c: float
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError(f"harmonic coefficient must be positive, got {self.c}")
+        c = float(self.c)
+        object.__setattr__(self, "c", c)
+        # a NaN c would pass c <= 0 and make every alpha(k) = min(1, nan) = 1
+        if not (math.isfinite(c) and c > 0):
+            raise ValueError(f"harmonic coefficient c must be finite and positive, got {c}")
 
     def at(self, k: int) -> float:
         return min(1.0, self.c / max(k, 1))
@@ -147,23 +149,6 @@ def asymptotic_violations(s: StepSchedule) -> list[str]:
             "(needs alpha -> 0)"
         ]
     return []
-
-
-def schedule_from_config(cfg: dict) -> StepSchedule:
-    """Build a step schedule from ``{"kind": "harmonic", "c": ...}`` or
-    ``{"kind": "table", "values": [...]}``."""
-    if "kind" not in cfg:
-        raise ValueError("step schedule config is missing required field 'kind'")
-    kind = cfg["kind"]
-    if kind == "harmonic":
-        if "c" not in cfg:
-            raise ValueError("harmonic schedule config needs a coefficient 'c'")
-        return HarmonicSchedule(c=float(cfg["c"]))
-    if kind == "table":
-        if "values" not in cfg:
-            raise ValueError("table schedule config needs a 'values' list")
-        return TableSchedule(values=tuple(float(v) for v in cfg["values"]))
-    raise ValueError(f"unknown step schedule kind {kind!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,29 +27,31 @@ from .estimator import (
     HarmonicSchedule,
     NodeState,
     StepSchedule,
+    TableSchedule,
     asymptotic_violations,
     node_step,
-    schedule_from_config,
     schedule_violations,
     step_size,
 )
 from .excitation import DeltaTrace, find_certificate, local_pe_check, single_sensor_pe
 from .model import (
     Constant,
+    CustomTable,
     NoiseModel,
     PeriodicList,
     RecursiveCosine,
     RegressorGenerator,
-    generator_from_config,
     noise_block,
     regressor_table,
     sample_noise,
 )
 from .topology import (
     GraphSchedule,
+    PeriodicGraph,
+    StaticGraph,
+    TableGraph,
     closed_in_neighborhood,
     edges_at,
-    graph_from_config,
     in_neighbors,
     neighborhood_index,
     neighborhood_values,
@@ -174,73 +176,136 @@ def builtin_scenarios() -> tuple[str, ...]:
 
 
 def _numbers(value) -> bool:
-    return isinstance(value, list) and all(type(x) in (int, float) for x in value)
+    return type(value) is list and all(type(x) in (int, float) for x in value)
+
+
+def _pairs(value) -> bool:
+    return type(value) is list and all(
+        type(e) is list and len(e) == 2 and all(type(x) is int for x in e) for e in value
+    )
 
 
 _JSON_TYPES = {
-    "a list of numbers": _numbers,
-    "a list of lists of numbers": lambda v: isinstance(v, list) and all(map(_numbers, v)),
-    "a list of objects": lambda v: isinstance(v, list) and all(type(x) is dict for x in v),
-    "an object": lambda v: type(v) is dict,
+    "a number": lambda v: type(v) in (int, float),
     "an integer": lambda v: type(v) is int,
+    "an object": lambda v: type(v) is dict,
+    "a list of numbers": _numbers,
+    "a list of lists of numbers": lambda v: type(v) is list and all(map(_numbers, v)),
+    "a list of objects": lambda v: type(v) is list and all(type(x) is dict for x in v),
+    "a list of [from, to] integer pairs": _pairs,
+    "a list of lists of [from, to] integer pairs": lambda v: type(v) is list and all(map(_pairs, v)),
+}
+
+# The scenario file format. Sections without a kind map each field to its
+# JSON type; in each family of objects with a "kind" (the graph section is
+# one), the kind picks a constructor, which receives the other fields as
+# keywords once each has its JSON type. Every field is required except
+# estimator.theta_hat0.
+_NUMBERS, _ROWS = "a list of numbers", "a list of lists of numbers"
+_STAGES = "a list of lists of [from, to] integer pairs"
+_SECTIONS = {
+    "model": {"theta": _NUMBERS, "generators": "a list of objects", "noise": _NUMBERS},
+    "estimator": {"mu": _NUMBERS, "step": "an object", "theta_hat0": _ROWS},
+    "run": {"horizon": "an integer"},
+}
+_KINDS = {
+    "model.generators": {
+        "periodic-list": (PeriodicList, {"vectors": _ROWS}),
+        "recursive-cosine": (
+            RecursiveCosine,
+            {"base": _NUMBERS, "slot": "an integer", "initial": "a number", "angle_step": "a number"},
+        ),
+        "constant": (Constant, {"vector": _NUMBERS}),
+        "custom-table": (CustomTable, {"vectors": _ROWS}),
+    },
+    "graph": {
+        "ring": (ring, {"n": "an integer"}),
+        "static": (StaticGraph, {"n": "an integer", "edges": "a list of [from, to] integer pairs"}),
+        "periodic": (PeriodicGraph, {"n": "an integer", "stages": _STAGES}),
+        "table": (TableGraph, {"n": "an integer", "table": _STAGES}),
+    },
+    "estimator.step": {
+        "harmonic": (HarmonicSchedule, {"c": "a number"}),
+        "table": (TableSchedule, {"values": _NUMBERS}),
+    },
 }
 
 
-def _field(cfg: dict, path: str, expected: str, default=None):
-    """cfg[section][field] checked against its JSON type; errors name the field."""
-    section, field = path.split(".")
-    value = cfg[section].get(field, default)
-    if value is None:
-        raise ScenarioError(f"{section}: missing field {field!r}")
-    if not _JSON_TYPES[expected](value):
-        raise ScenarioError(f"{path}: expected {expected}, got {json.dumps(value)}")
-    return value
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _read(obj: dict, path: str, fields: dict, optional: tuple = ()) -> dict:
+    """The object at ``path``, its fields checked against their JSON types.
+
+    An unknown key, a missing field not in ``optional`` or a value of the
+    wrong JSON type raises a ``ScenarioError`` that names the full path.
+    """
+    for key in obj:
+        if key not in fields:
+            raise ScenarioError(f"{_join(path, key)}: unknown key; expected one of: {', '.join(fields)}")
+    for key, expected in fields.items():
+        if key not in obj:
+            if key not in optional:
+                raise ScenarioError(f"{path or 'config'}: missing field {key!r}")
+        elif not _JSON_TYPES[expected](obj[key]):
+            raise ScenarioError(f"{_join(path, key)}: expected {expected}, got {json.dumps(obj[key])}")
+    return obj
+
+
+def _build(obj: dict, path: str, family: str):
+    """The object at ``path``, built by the constructor of its kind in ``_KINDS[family]``.
+
+    A ValueError from the constructor, such as a non-finite entry, is
+    reported under ``path``.
+    """
+    kinds = _KINDS[family]
+    if "kind" not in obj:
+        raise ScenarioError(f"{path}: missing field 'kind'")
+    kind = obj["kind"]
+    if type(kind) is not str or kind not in kinds:
+        raise ScenarioError(f"{path}.kind: expected one of: {', '.join(kinds)}, got {json.dumps(kind)}")
+    make, fields = kinds[kind]
+    args = _read({k: v for k, v in obj.items() if k != "kind"}, path, fields)
+    try:
+        return make(**args)
+    except ValueError as e:
+        raise ScenarioError(f"{path}: {e}") from None
 
 
 def _scenario_from_config(cfg: dict) -> Scenario:
-    for section in ("model", "graph", "estimator", "run"):
-        if section not in cfg:
-            raise ScenarioError(f"config is missing section {section!r}")
-        if not isinstance(cfg[section], dict):
-            raise ScenarioError(f"{section}: expected an object, got {json.dumps(cfg[section])}")
-    theta = np.array(_field(cfg, "model.theta", "a list of numbers"), dtype=float)
-    d = len(theta)
-    generators = []
-    for i, gcfg in enumerate(_field(cfg, "model.generators", "a list of objects"), start=1):
-        try:
-            generators.append(generator_from_config(gcfg))
-        except (TypeError, ValueError) as e:
-            raise ScenarioError(f"model.generators[{i}]: {e}") from None
-    try:
-        graph = graph_from_config(cfg["graph"])
-    except (TypeError, ValueError) as e:
-        raise ScenarioError(f"graph: {e}") from None
-    step = _field(cfg, "estimator.step", "an object")
-    try:
-        schedule = schedule_from_config(step)
-    except (TypeError, ValueError) as e:
-        raise ScenarioError(f"estimator.step: {e}") from None
-    n = graph.n
-    theta_hat0 = _field(cfg, "estimator.theta_hat0", "a list of lists of numbers", [[0.0] * d] * n)
+    _read(cfg, "", dict.fromkeys(("model", "graph", "estimator", "run"), "an object"))
+    model = _read(cfg["model"], "model", _SECTIONS["model"])
+    est = _read(cfg["estimator"], "estimator", _SECTIONS["estimator"], optional=("theta_hat0",))
+    run = _read(cfg["run"], "run", _SECTIONS["run"])
+    theta = np.array(model["theta"], dtype=float)
+    generators = tuple(
+        _build(g, f"model.generators[{i}]", "model.generators")
+        for i, g in enumerate(model["generators"], start=1)
+    )
+    graph = _build(cfg["graph"], "graph", "graph")
+    schedule = _build(est["step"], "estimator.step", "estimator.step")
+    n, d = graph.n, len(theta)
     return Scenario(
         n=n,
         d=d,
         theta=theta,
-        generators=tuple(generators),
-        variances=tuple(_field(cfg, "model.noise", "a list of numbers")),
+        generators=generators,
+        variances=tuple(model["noise"]),
         graph=graph,
         schedule=schedule,
-        mu=tuple(_field(cfg, "estimator.mu", "a list of numbers")),
-        theta_hat0=np.array(theta_hat0, dtype=float),
-        horizon=_field(cfg, "run.horizon", "an integer"),
+        mu=tuple(est["mu"]),
+        theta_hat0=np.array(est.get("theta_hat0", [[0.0] * d] * n), dtype=float),
+        horizon=run["horizon"],
     )
 
 
 def load_scenario(source: Union[str, Path]) -> Scenario:
     """Load a builtin scenario by name or a JSON scenario file by path.
 
-    Parse errors carry the file position; constraint violations carry the
-    offending field name.
+    Parse errors carry the file position; a file that breaks the format of
+    ``_SECTIONS`` and ``_KINDS``, or a constraint of a constructor, raises a
+    ``ScenarioError`` naming the path of the offending field or object.
     """
     name = str(source)
     if name in _BUILTINS:
@@ -302,13 +367,9 @@ def step_tables(s: Scenario, horizon: Optional[int] = None) -> StepTables:
     adj = np.zeros((n, K, d, d))
     for i in range(n):
         rev = phi[i, ::-1]  # rev[K-1-k : K-1-k+d] is phi(k), ..., phi(k-d+1)
-        dets, adjs = [], []
-        for j in range(K - d, -1, -1):
-            ext = extend(rev[j : j + d])
-            dets.append(ext.det)
-            adjs.append(ext.adj)
-        if dets:
-            delta[i, d - 1 :], adj[i, d - 1 :] = dets, adjs
+        windows = [extend(rev[j : j + d]) for j in range(K - d, -1, -1)]
+        if windows:
+            delta[i, d - 1 :], adj[i, d - 1 :] = zip(*windows)
     alpha = np.array([step_size(s.schedule, k) for k in range(K)])
     members = neighborhood_index(s.graph, K)
     dlt = neighborhood_values(members, delta)

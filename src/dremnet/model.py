@@ -30,7 +30,6 @@ __all__ = [
     "RegressorGenerator",
     "regressor_at",
     "regressor_table",
-    "generator_from_config",
     "NoiseModel",
     "sample_noise",
     "noise_block",
@@ -188,31 +187,6 @@ def regressor_table(gen: RegressorGenerator, steps: int) -> np.ndarray:
     if steps < 0:
         raise ValueError(f"step count must be >= 0, got {steps}")
     return gen.rows(np.arange(steps))
-
-
-_GENERATOR_KINDS = {
-    "periodic-list": lambda cfg: PeriodicList(vectors=cfg["vectors"]),
-    "recursive-cosine": lambda cfg: RecursiveCosine(
-        base=cfg["base"],
-        slot=int(cfg["slot"]),
-        initial=float(cfg["initial"]),
-        angle_step=float(cfg["angle_step"]),
-    ),
-    "constant": lambda cfg: Constant(vector=cfg["vector"]),
-    "custom-table": lambda cfg: CustomTable(vectors=cfg["vectors"]),
-}
-
-
-def generator_from_config(cfg: dict) -> RegressorGenerator:
-    """Build a generator from its config dict (see the scenario file format)."""
-    kind = cfg.get("kind")
-    if kind not in _GENERATOR_KINDS:
-        known = ", ".join(sorted(_GENERATOR_KINDS))
-        raise ValueError(f"unknown generator kind {kind!r}; expected one of: {known}")
-    try:
-        return _GENERATOR_KINDS[kind](cfg)
-    except KeyError as exc:
-        raise ValueError(f"generator kind {kind!r} is missing field {exc.args[0]!r}") from None
 
 
 @dataclass(frozen=True)

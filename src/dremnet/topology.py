@@ -29,7 +29,6 @@ __all__ = [
     "neighborhood_index",
     "neighborhood_values",
     "validate_schedule",
-    "graph_from_config",
 ]
 
 Edge = tuple[int, int]
@@ -197,33 +196,3 @@ def validate_schedule(g: GraphSchedule) -> list[str]:
     for k, stage in enumerate(g.table):
         problems.extend(_stage_problems(stage, g.n, f"step {k}"))
     return problems
-
-
-def graph_from_config(cfg: dict) -> GraphSchedule:
-    """Build a schedule from its JSON form.
-
-    Expects ``{"n": ..., "kind": "static"|"periodic"|"table", ...}`` with
-    ``edges`` for static and ``stages``/``table`` lists of edge lists for the
-    time-varying kinds. ``kind: "ring"`` is shorthand for the n-sensor
-    directed ring.
-    """
-    try:
-        kind = cfg["kind"]
-        n = int(cfg["n"])
-    except KeyError as e:
-        raise ValueError(f"graph config is missing required field {e.args[0]!r}") from None
-    if kind == "ring":
-        return ring(n)
-    if kind == "static":
-        if "edges" not in cfg:
-            raise ValueError("static graph config needs an 'edges' list")
-        return StaticGraph(n=n, edges=_freeze_edges(cfg["edges"]))
-    if kind == "periodic":
-        if "stages" not in cfg:
-            raise ValueError("periodic graph config needs a 'stages' list")
-        return PeriodicGraph(n=n, stages=tuple(_freeze_edges(s) for s in cfg["stages"]))
-    if kind == "table":
-        if "table" not in cfg:
-            raise ValueError("table graph config needs a 'table' list")
-        return TableGraph(n=n, table=tuple(_freeze_edges(s) for s in cfg["table"]))
-    raise ValueError(f"unknown graph kind {kind!r}")

@@ -121,6 +121,29 @@ class TestCheckPe:
         assert "no neighborhood excitation certificate with H <= 1" in err
         assert "at H = 1)" in err
 
+    @pytest.mark.parametrize("h_max", ["0", "-3"])
+    def test_bad_h_max(self, h_max, capsys):
+        assert main(["check-pe", "--steps", "20", "--h-max", h_max]) == 1
+        assert f"error: --h-max must be positive, got {h_max}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("c", ["1e999", '"nan"', '"0.7"'])
+    def test_step_coefficient_checked(self, tmp_path, capsys, c):
+        # 1e999 parses as inf, which once made every alpha(k) equal 1 and passed the audit
+        cfg = {
+            "model": {
+                "theta": [1.0, 2.0],
+                "generators": [{"kind": "periodic-list", "vectors": [[1, 0], [0, 1]]}],
+                "noise": [1.0],
+            },
+            "graph": {"kind": "static", "n": 1, "edges": []},
+            "estimator": {"mu": [0.1], "step": {"kind": "harmonic", "c": "C"}},
+            "run": {"horizon": 40},
+        }
+        p = tmp_path / "step.json"
+        p.write_text(json.dumps(cfg).replace('"C"', c))
+        assert main(["check-pe", "--scenario", str(p)]) == 1
+        assert "error: estimator.step" in capsys.readouterr().err
+
     @pytest.mark.parametrize("omega", ["nan", "inf", "-1"])
     def test_bad_omega(self, omega, capsys):
         assert main(["check-pe", "--steps", "20", "--omega", omega]) == 1

@@ -47,9 +47,7 @@ def reference_tables(s, K):
             if len(hist) > d:
                 hist.pop()
             if len(hist) == d:
-                ext = extend(hist)
-                delta[i - 1, k] = ext.det
-                adj[i - 1, k] = ext.adj
+                delta[i - 1, k], adj[i - 1, k] = extend(hist)
     alpha = np.array([step_size(s.schedule, k) for k in range(K)])
     hoods = [[closed_in_neighborhood(s.graph, i, k) for k in range(K)] for i in range(1, n + 1)]
     gated = np.zeros((n, K))

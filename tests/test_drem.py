@@ -146,10 +146,10 @@ class TestStacking:
             window[:, 0] = 0.0
         rows = [row.copy() for row in window]
         for a, b in ((window, rows), (window[::-1], rows[::-1])):
-            got, want = extend(a), extend(b)
-            assert np.float64(got.det).tobytes() == np.float64(want.det).tobytes()
-            assert got.adj.tobytes() == want.adj.tobytes()
-            assert (got.det == 0.0) == singular
+            (got_det, got_adj), (want_det, want_adj) = extend(a), extend(b)
+            assert np.float64(got_det).tobytes() == np.float64(want_det).tobytes()
+            assert got_adj.tobytes() == want_adj.tobytes()
+            assert (got_det == 0.0) == singular
 
 
 class TestMix:
@@ -157,24 +157,23 @@ class TestMix:
         # noise-free: ybar must equal det * theta
         theta = np.array([2.5, -1.0])
         phi_new, phi_old = np.array([2.0, 3.0]), np.array([1.0, 2.0])
-        ext = extend([phi_new, phi_old])
-        assert ext.det == 1.0
+        det, adj = extend([phi_new, phi_old])
+        assert det == 1.0
         y = [float(theta @ phi_new), float(theta @ phi_old)]
-        msg = mix(ext, y, sensor=1, step=1)
-        np.testing.assert_allclose(msg.ybar, ext.det * theta, rtol=1e-12)
+        msg = mix(det, adj, y, sensor=1, step=1)
+        np.testing.assert_allclose(msg.ybar, det * theta, rtol=1e-12)
         assert msg.delta_bar == 1.0
         assert msg.payload_size == 3
 
     def test_d1_reduces_to_plain_regression(self):
-        ext = extend([np.array([4.0])])
-        msg = mix(ext, [8.0])
+        msg = mix(*extend([np.array([4.0])]), [8.0])
         assert msg.delta_bar == 4.0
         assert msg.ybar[0] == 8.0  # adj is [[1]]
 
     def test_stack_length_checked(self):
-        ext = extend([np.array([2.0, 3.0]), np.array([1.0, 2.0])])
+        det, adj = extend([np.array([2.0, 3.0]), np.array([1.0, 2.0])])
         with pytest.raises(ValueError):
-            mix(ext, [1.0])
+            mix(det, adj, [1.0])
 
 
 class TestDremTransform:
@@ -191,9 +190,9 @@ class TestDremTransform:
         phi = [rng.uniform(-2, 2, size=2) for _ in range(2)]
         y = [1.25, -0.5]
         msg, _ = drem_transform(1, 5, phi, y)
-        ext = extend(phi)
-        ref = mix(ext, y)
-        assert msg.delta_bar == ext.det
+        det, adj = extend(phi)
+        ref = mix(det, adj, y)
+        assert msg.delta_bar == det
         assert np.array_equal(msg.ybar, ref.ybar)
 
     def test_identity_decomposition_randomized(self):

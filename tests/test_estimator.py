@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from dremnet.estimator import (
     gate,
     gated_sum,
     node_step,
-    schedule_from_config,
     schedule_violations,
     step_size,
     update_counter,
@@ -34,6 +35,12 @@ class TestStepSchedules:
         s = HarmonicSchedule(c=2.0)
         assert step_size(s, 1) == 1.0
         assert step_size(s, 4) == 0.5
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_harmonic_rejects_bad_coefficient(self, c):
+        # a NaN c once passed c <= 0 and gave alpha(k) = 1 at every step
+        with pytest.raises(ValueError, match="c must be finite and positive"):
+            HarmonicSchedule(c=c)
 
     def test_table_holds_last(self):
         s = TableSchedule(values=(0.5, 0.25))
@@ -73,16 +80,6 @@ class TestStepSchedules:
     def test_asymptotic_accepts_decaying_table(self):
         vals = tuple(0.7 / k for k in range(1, 1001))
         assert asymptotic_violations(TableSchedule(values=vals)) == []
-
-    def test_config(self):
-        s = schedule_from_config({"kind": "harmonic", "c": 0.7})
-        assert s == HarmonicSchedule(c=0.7)
-        t = schedule_from_config({"kind": "table", "values": [0.5, 0.25]})
-        assert t.values == (0.5, 0.25)
-        with pytest.raises(ValueError, match="kind"):
-            schedule_from_config({})
-        with pytest.raises(ValueError, match="exp"):
-            schedule_from_config({"kind": "exp"})
 
 
 class TestGate:

@@ -21,8 +21,8 @@ from dremnet.harness import (
     run_single,
     step_tables,
 )
-from dremnet.model import Constant, PeriodicList
-from dremnet.topology import StaticGraph, ring
+from dremnet.model import Constant, CustomTable, PeriodicList, RecursiveCosine
+from dremnet.topology import PeriodicGraph, StaticGraph, TableGraph, edges_at, ring
 
 # regression anchors for the builtin benchmark, frozen from the
 # deterministic noise-free trajectory
@@ -127,12 +127,12 @@ class TestLoading:
             ("model", "theta", "2.5", "model.theta"),
             ("model", "noise", [1.0, "x"], "model.noise"),
             ("model", "generators", {"kind": "constant"}, "model.generators"),
-            ("model", "generators", [{"kind": "periodic-list", "vectors": 5}], "model.generators[1]"),
-            ("graph", "n", [2], "graph"),
+            ("model", "generators", [{"kind": "periodic-list", "vectors": 5}], "model.generators[1].vectors"),
+            ("graph", "n", [2], "graph.n"),
             ("estimator", "mu", 5, "estimator.mu"),
             ("estimator", "mu", [0.1, True], "estimator.mu"),
             ("estimator", "step", 0.7, "estimator.step"),
-            ("estimator", "step", {"kind": "harmonic", "c": [0.7]}, "estimator.step"),
+            ("estimator", "step", {"kind": "harmonic", "c": [0.7]}, "estimator.step.c"),
             ("estimator", "theta_hat0", [1.0, 2.0], "estimator.theta_hat0"),
             ("run", "horizon", 2.5, "run.horizon"),
         ],
@@ -185,6 +185,139 @@ class TestLoading:
         p.write_text(json.dumps({"model": {}, "graph": {}, "estimator": {}}))
         with pytest.raises(ScenarioError, match="run"):
             load_scenario(p)
+
+    @pytest.mark.parametrize(
+        "keys, value, where",
+        [
+            (("estimator", "step", "c"), "nan", "estimator.step.c"),
+            (("estimator", "step", "c"), "0.7", "estimator.step.c"),
+            (("model", "generators", 1, "slot"), 0.9, "model.generators[2].slot"),
+            (("model", "generators", 1, "slot"), True, "model.generators[2].slot"),
+            (("model", "generators", 1, "slot"), "0", "model.generators[2].slot"),
+            (("model", "generators", 1, "initial"), "3", "model.generators[2].initial"),
+            (("model", "generators", 0, "vectors"), [["2", "3"], ["1", "2"]], "model.generators[1].vectors"),
+            (("graph", "n"), 2.7, "graph.n"),
+            (("graph", "n"), "2", "graph.n"),
+            (("graph", "edges"), ["12", "21"], "graph.edges"),
+            (("graph", "edges"), [[1.5, 2]], "graph.edges"),
+            (("graph", "edges"), [[1, 2, 3]], "graph.edges"),
+            (("model", "generators", 1, "slott"), 0, "model.generators[2].slott"),
+            (("run", "steps"), 10, "run.steps"),
+            (("comment",), "x", "comment"),
+        ],
+        ids=[
+            "c-nan-string", "c-string", "slot-float", "slot-bool", "slot-string", "initial-string",
+            "vectors-strings", "n-float", "n-string", "edges-strings", "edges-float", "edges-triple",
+            "unknown-generator-key", "unknown-section-key", "unknown-top-level-key",
+        ],
+    )
+    def test_no_coercion_names_the_field(self, tmp_path, keys, value, where):
+        cfg = two_sensor_config()
+        cfg["model"]["generators"][1] = {
+            "kind": "recursive-cosine", "base": [0, 1], "slot": 0, "initial": 1.0, "angle_step": 0.5,
+        }
+        cfg["graph"] = {"kind": "static", "n": 2, "edges": [[1, 2], [2, 1]]}
+        load_config(tmp_path, cfg)  # the config loads as it stands
+        target = cfg
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        with pytest.raises(ScenarioError, match=rf"^{re.escape(where)}: "):
+            load_config(tmp_path, cfg)
+
+
+def load_graph(tmp_path, graph: dict):
+    """The graph of a config whose other sections fit ``graph["n"]`` sensors."""
+    n = graph["n"]
+    cfg = two_sensor_config()
+    cfg["model"]["generators"] = [{"kind": "constant", "vector": [1, 1]}] * n
+    cfg["model"]["noise"] = [1.0] * n
+    cfg["estimator"]["mu"] = [0.1] * n
+    cfg["graph"] = graph
+    return load_config(tmp_path, cfg).graph
+
+
+class TestGeneratorConfig:
+    def test_round_trip_all_kinds(self, tmp_path):
+        cases = [
+            ({"kind": "periodic-list", "vectors": [[2, 3], [1, 2]]}, PeriodicList),
+            (
+                {
+                    "kind": "recursive-cosine",
+                    "base": [0, 1],
+                    "slot": 0,
+                    "initial": 1.0,
+                    "angle_step": math.pi / 4,
+                },
+                RecursiveCosine,
+            ),
+            ({"kind": "constant", "vector": [1, 1]}, Constant),
+            ({"kind": "custom-table", "vectors": [[1, 0]]}, CustomTable),
+        ]
+        for gcfg, cls in cases:
+            cfg = two_sensor_config()
+            cfg["model"]["generators"][0] = gcfg
+            assert isinstance(load_config(tmp_path, cfg).generators[0], cls)
+
+    def test_unknown_kind(self, tmp_path):
+        cfg = two_sensor_config()
+        cfg["model"]["generators"][0] = {"kind": "sinusoid"}
+        with pytest.raises(ScenarioError, match=r'^model\.generators\[1\]\.kind: expected one of: .*"sinusoid"'):
+            load_config(tmp_path, cfg)
+
+    def test_missing_field(self, tmp_path):
+        cfg = two_sensor_config()
+        cfg["model"]["generators"][0] = {"kind": "recursive-cosine", "base": [0, 1]}
+        with pytest.raises(ScenarioError, match=r"^model\.generators\[1\]: missing field 'slot'$"):
+            load_config(tmp_path, cfg)
+
+
+class TestGraphConfig:
+    def test_ring_shorthand(self, tmp_path):
+        assert load_graph(tmp_path, {"kind": "ring", "n": 4}) == ring(4)
+
+    def test_static(self, tmp_path):
+        g = load_graph(tmp_path, {"kind": "static", "n": 3, "edges": [[1, 2], [2, 3]]})
+        assert isinstance(g, StaticGraph)
+        assert g.edges == ((1, 2), (2, 3))
+
+    def test_periodic(self, tmp_path):
+        g = load_graph(tmp_path, {"kind": "periodic", "n": 3, "stages": [[[1, 2]], [[2, 3]]]})
+        assert isinstance(g, PeriodicGraph)
+        assert edges_at(g, 3) == ((2, 3),)
+
+    def test_table(self, tmp_path):
+        g = load_graph(tmp_path, {"kind": "table", "n": 2, "table": [[[1, 2]], []]})
+        assert isinstance(g, TableGraph)
+        assert edges_at(g, 9) == ()
+
+    def test_missing_fields(self, tmp_path):
+        with pytest.raises(ScenarioError, match="^graph: missing field 'kind'$"):
+            load_graph(tmp_path, {"n": 3})
+        with pytest.raises(ScenarioError, match="^graph: missing field 'edges'$"):
+            load_graph(tmp_path, {"kind": "static", "n": 3})
+
+    def test_unknown_kind(self, tmp_path):
+        with pytest.raises(ScenarioError, match=r'^graph\.kind: expected one of: .*"mesh"'):
+            load_graph(tmp_path, {"kind": "mesh", "n": 3})
+
+    def test_constructor_error_names_the_graph(self, tmp_path):
+        with pytest.raises(ScenarioError, match="^graph: a ring needs at least two sensors, got n=1$"):
+            load_graph(tmp_path, {"kind": "ring", "n": 1})
+
+
+class TestStepConfig:
+    def test_config(self, tmp_path):
+        cfg = two_sensor_config()
+        assert load_config(tmp_path, cfg).schedule == HarmonicSchedule(c=0.7)
+        cfg["estimator"]["step"] = {"kind": "table", "values": [0.5, 0.25]}
+        assert load_config(tmp_path, cfg).schedule.values == (0.5, 0.25)
+        cfg["estimator"]["step"] = {}
+        with pytest.raises(ScenarioError, match=r"^estimator\.step: missing field 'kind'$"):
+            load_config(tmp_path, cfg)
+        cfg["estimator"]["step"] = {"kind": "exp"}
+        with pytest.raises(ScenarioError, match=r'^estimator\.step\.kind: expected one of: harmonic, table, got "exp"$'):
+            load_config(tmp_path, cfg)
 
 
 class TestScenarioValidation:

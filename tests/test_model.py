@@ -11,7 +11,6 @@ from dremnet.model import (
     NoiseModel,
     PeriodicList,
     RecursiveCosine,
-    generator_from_config,
     measure,
     noise_block,
     regressor_at,
@@ -196,35 +195,6 @@ class TestNonFinite:
     def test_rejected(self, make, x):
         with pytest.raises(ValueError, match="must be finite"):
             make(x)
-
-
-class TestGeneratorConfig:
-    def test_round_trip_all_kinds(self):
-        cases = [
-            ({"kind": "periodic-list", "vectors": [[2, 3], [1, 2]]}, PeriodicList),
-            (
-                {
-                    "kind": "recursive-cosine",
-                    "base": [0, 1],
-                    "slot": 0,
-                    "initial": 1.0,
-                    "angle_step": math.pi / 4,
-                },
-                RecursiveCosine,
-            ),
-            ({"kind": "constant", "vector": [1, 1]}, Constant),
-            ({"kind": "custom-table", "vectors": [[1, 0]]}, CustomTable),
-        ]
-        for cfg, cls in cases:
-            assert isinstance(generator_from_config(cfg), cls)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown generator kind"):
-            generator_from_config({"kind": "sinusoid"})
-
-    def test_missing_field(self):
-        with pytest.raises(ValueError, match="missing field"):
-            generator_from_config({"kind": "recursive-cosine", "base": [0, 1]})
 
 
 class TestNoise:

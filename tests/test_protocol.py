@@ -71,7 +71,7 @@ def test_mixing_matches_array_form(d):
     rng = np.random.default_rng(200 + d)
     for trial in range(60):
         if trial % 2:
-            adj = extend(list(rng.normal(size=(d, d)))).adj
+            _, adj = extend(list(rng.normal(size=(d, d))))
         else:
             adj = signed_zeros(rng, rng.normal(size=(d, d)) * 10.0 ** rng.integers(-3, 4))
         stack = signed_zeros(rng, rng.normal(size=d))

@@ -6,7 +6,6 @@ from dremnet.topology import (
     TableGraph,
     closed_in_neighborhood,
     edges_at,
-    graph_from_config,
     in_neighbors,
     out_neighbors,
     ring,
@@ -134,36 +133,3 @@ class TestValidation:
         problems = validate_schedule(g)
         assert len(problems) == 1
         assert "stage 1" in problems[0]
-
-
-class TestConfig:
-    def test_ring_shorthand(self):
-        g = graph_from_config({"kind": "ring", "n": 4})
-        assert g == ring(4)
-
-    def test_static(self):
-        g = graph_from_config({"kind": "static", "n": 3, "edges": [[1, 2], [2, 3]]})
-        assert isinstance(g, StaticGraph)
-        assert g.edges == ((1, 2), (2, 3))
-
-    def test_periodic(self):
-        g = graph_from_config(
-            {"kind": "periodic", "n": 3, "stages": [[[1, 2]], [[2, 3]]]}
-        )
-        assert isinstance(g, PeriodicGraph)
-        assert edges_at(g, 3) == ((2, 3),)
-
-    def test_table(self):
-        g = graph_from_config({"kind": "table", "n": 2, "table": [[[1, 2]], []]})
-        assert isinstance(g, TableGraph)
-        assert edges_at(g, 9) == ()
-
-    def test_missing_fields(self):
-        with pytest.raises(ValueError, match="kind"):
-            graph_from_config({"n": 3})
-        with pytest.raises(ValueError, match="edges"):
-            graph_from_config({"kind": "static", "n": 3})
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="mesh"):
-            graph_from_config({"kind": "mesh", "n": 3})
