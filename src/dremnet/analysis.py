@@ -162,22 +162,24 @@ def moments(s: Scenario, horizon: Optional[int] = None) -> MomentTrajectory:
     return MomentTrajectory(mean=mean_recursion(s, horizon), cov_exact=exact, cov_bound=bound)
 
 
+# theorem_check counts a terminal |mean| or cov below this as vanished
+_THRESHOLD = 1e-2
+
+
 @dataclass(frozen=True, eq=False)
 class TheoremReport:
     """Outcome of the mean-square convergence audit on one scenario.
 
     ``violations`` lists broken standing assumptions; ``mean_final`` and
     ``cov_final`` are the per-sensor, per-channel terminal |E[theta_tilde]|
-    and cov; ``ratio_max`` is the largest realized eps/beta against its
-    analytical cap C alpha / mu over effective steps.
+    and cov, each judged against 1e-2; ``ratio_max`` is the largest realized
+    eps/beta against its analytical cap C alpha / mu over effective steps.
     """
 
     horizon: int
     violations: tuple[str, ...]
     mean_final: np.ndarray
     cov_final: np.ndarray
-    mean_threshold: float
-    cov_threshold: float
     mean_ok: bool
     cov_ok: bool
     ratio_max: float
@@ -185,30 +187,24 @@ class TheoremReport:
     ok: bool
 
 
-def theorem_check(
-    s: Scenario,
-    horizon: Optional[int] = None,
-    mean_threshold: float = 1e-2,
-    cov_threshold: float = 1e-2,
-    pe_h_max: int = 8,
-    pe_omega: float = 1.0,
-) -> TheoremReport:
-    """Audit assumptions and whether both moments vanish within thresholds.
+def theorem_check(s: Scenario, horizon: Optional[int] = None) -> TheoremReport:
+    """Audit assumptions and whether both moments fall below 1e-2.
 
-    Convergence is judged on the oracle recursions at the final step;
-    epsilon/beta is additionally checked against its cap C * alpha / mu with
-    C the realized max squared adjugate-row norm times the largest noise
-    variance.
+    The assumptions are audited by ``check_scenario`` with its defaults
+    (windows H <= 8, omega = 1). Convergence is judged on the oracle
+    recursions at the final step; epsilon/beta is additionally checked
+    against its cap C * alpha / mu with C the realized max squared
+    adjugate-row norm times the largest noise variance.
     """
     K = _horizon(s, horizon)
-    report = check_scenario(s, h_max=pe_h_max, omega=pe_omega, horizon=K)
+    report = check_scenario(s, horizon=K)
     coef = step_coefficients(s, K)
     mean = mean_recursion(s, K)
     exact, _ = covariance_recursion(s, K)
     mean_final = np.abs(mean[:, K])
     cov_final = exact[:, K]
-    mean_ok = bool(np.all(mean_final < mean_threshold))
-    cov_ok = bool(np.all(cov_final < cov_threshold))
+    mean_ok = bool(np.all(mean_final < _THRESHOLD))
+    cov_ok = bool(np.all(cov_final < _THRESHOLD))
     r_max = max(s.variances) if s.variances else 0.0
     b_sq = float(np.max(coef.noise_var)) / r_max if r_max > 0 else 0.0
     cap_const = b_sq * r_max
@@ -222,8 +218,6 @@ def theorem_check(
         violations=report.problems,
         mean_final=mean_final,
         cov_final=cov_final,
-        mean_threshold=mean_threshold,
-        cov_threshold=cov_threshold,
         mean_ok=mean_ok,
         cov_ok=cov_ok,
         ratio_max=ratio_max,

@@ -26,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "DremMessage",
-    "MixedNoise",
     "stack_regressors",
     "determinant",
     "adjugate",
@@ -168,18 +167,10 @@ class DremMessage:
     ybar: np.ndarray
     delta_bar: float
     sensor: int
-    step: int
 
     @property
     def payload_size(self) -> int:
         return len(self.ybar) + 1
-
-
-@dataclass(frozen=True, eq=False)
-class MixedNoise:
-    """adj(Phi) applied to the stacked noise; oracle bookkeeping, never sent."""
-
-    vbar: np.ndarray
 
 
 def _adj_apply(adj: np.ndarray, stack: Sequence[float]) -> np.ndarray:
@@ -194,9 +185,7 @@ def _adj_apply(adj: np.ndarray, stack: Sequence[float]) -> np.ndarray:
     return np.array(out)
 
 
-def mix(
-    det: float, adj: np.ndarray, y_stack: Sequence[float], sensor: int = 0, step: int = 0
-) -> DremMessage:
+def mix(det: float, adj: np.ndarray, y_stack: Sequence[float], sensor: int = 0) -> DremMessage:
     """Apply the mixing step: ybar = adj(Phi) @ y_stack, delta_bar = det(Phi).
 
     ``det`` and ``adj`` come from :func:`extend`; ``y_stack`` must be aligned
@@ -206,34 +195,20 @@ def mix(
     d = adj.shape[0]
     if y.shape != (d,):
         raise ValueError(f"measurement stack must have shape ({d},), got {y.shape}")
-    return DremMessage(ybar=_adj_apply(adj, y.tolist()), delta_bar=det, sensor=sensor, step=step)
+    return DremMessage(ybar=_adj_apply(adj, y.tolist()), delta_bar=det, sensor=sensor)
 
 
 def drem_transform(
-    sensor: int,
-    step: int,
-    phi_history: Sequence[np.ndarray],
-    y_history: Sequence[float],
-    noise_history: Optional[Sequence[float]] = None,
-) -> tuple[DremMessage, Optional[MixedNoise]]:
-    """Produce the (message, mixed noise or None) of 1-based ``sensor`` at time ``step``.
+    sensor: int, phi_history: Sequence[np.ndarray], y_history: Sequence[float]
+) -> DremMessage:
+    """The message of 1-based ``sensor`` from its regressor and measurement histories.
 
-    The histories of regressors phi, measurements y and, in instrumented runs,
-    raw noise v run newest first: phi(k), phi(k-1), ... A full window has d
-    entries, d being the regressor dimension; with fewer (the first d-1 steps)
-    the sensor emits the inert warm-up message ybar = 0, delta_bar = 0. The
-    mixed noise is returned only when ``noise_history`` is given.
+    Both histories run newest first: phi(k), phi(k-1), ... A full window has
+    d entries, d being the regressor dimension; with fewer (the first d-1
+    steps) the sensor emits the inert warm-up message ybar = 0, delta_bar = 0.
     """
     d = len(phi_history[0])
     if len(phi_history) < d:
-        msg = DremMessage(ybar=np.zeros(d), delta_bar=0.0, sensor=sensor, step=step)
-        vbar = MixedNoise(vbar=np.zeros(d)) if noise_history is not None else None
-        return msg, vbar
+        return DremMessage(ybar=np.zeros(d), delta_bar=0.0, sensor=sensor)
     det, adj = extend(list(phi_history)[:d])
-    msg = mix(det, adj, list(y_history)[:d], sensor=sensor, step=step)
-    vbar = None
-    if noise_history is not None:
-        v = [float(x) for x in list(noise_history)[:d]]
-        vbar = MixedNoise(vbar=_adj_apply(adj, v))
-    return msg, vbar
-
+    return mix(det, adj, list(y_history)[:d], sensor=sensor)

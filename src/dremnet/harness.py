@@ -50,14 +50,12 @@ from .topology import (
     PeriodicGraph,
     StaticGraph,
     TableGraph,
-    closed_in_neighborhood,
     edges_at,
     in_neighbors,
     neighborhood_index,
     neighborhood_values,
     out_neighbors,
     ring,
-    validate_schedule,
 )
 
 __all__ = [
@@ -141,9 +139,6 @@ class Scenario:
             raise ScenarioError(f"horizon must be nonnegative, got {self.horizon}")
         if self.graph.n != self.n:
             raise ScenarioError(f"graph: n={self.graph.n} does not match scenario n={self.n}")
-        graph_problems = validate_schedule(self.graph)
-        if graph_problems:
-            raise ScenarioError("graph: " + "; ".join(graph_problems))
 
 
 def _sec5() -> Scenario:
@@ -303,9 +298,10 @@ def _scenario_from_config(cfg: dict) -> Scenario:
 def load_scenario(source: Union[str, Path]) -> Scenario:
     """Load a builtin scenario by name or a JSON scenario file by path.
 
-    Parse errors carry the file position; a file that breaks the format of
-    ``_SECTIONS`` and ``_KINDS``, or a constraint of a constructor, raises a
-    ``ScenarioError`` naming the path of the offending field or object.
+    Parse errors carry the file position, and a key repeated within one
+    object is an error; a file that breaks the format of ``_SECTIONS`` and
+    ``_KINDS``, or a constraint of a constructor, raises a ``ScenarioError``
+    naming the path of the offending field or object.
     """
     name = str(source)
     if name in _BUILTINS:
@@ -318,8 +314,17 @@ def load_scenario(source: Union[str, Path]) -> Scenario:
         text = path.read_text()
     except OSError as e:
         raise OSError(f"cannot read {path}: {e.strerror or e}") from e
+
+    def unique_keys(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ScenarioError(f"{path}: duplicate key {json.dumps(key)}")
+            obj[key] = value
+        return obj
+
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as e:
         raise ScenarioError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
     if not isinstance(cfg, dict):
@@ -412,9 +417,7 @@ class RunResult:
     ``theta_hat[i-1, k]`` is sensor i's estimate at step k (k=0 is the
     initial state), ``error_norm`` its Euclidean distance to the truth,
     ``effective[i-1, k]`` whether the step-k update moved the estimate, and
-    ``counters[i-1, k]`` the counter value entering step k. ``consumed`` is
-    the instrumentation trail: per sensor, every (source sensor, measurement
-    time) pair that entered an effective update.
+    ``counters[i-1, k]`` the counter value entering step k.
     """
 
     seed: int
@@ -425,7 +428,6 @@ class RunResult:
     counters: np.ndarray    # (n, K+1) int
     payload_size: int
     payload_total: int
-    consumed: Optional[tuple[tuple[tuple[int, int], ...], ...]] = None
 
     def effective_steps(self, sensor: int) -> np.ndarray:
         return np.flatnonzero(self.effective[sensor - 1])
@@ -442,18 +444,12 @@ def _channel_norm(diff: np.ndarray) -> np.ndarray:
     return np.sqrt(total)
 
 
-def run_single(
-    s: Scenario,
-    seed: int,
-    horizon: Optional[int] = None,
-    instrument: bool = False,
-) -> RunResult:
+def run_single(s: Scenario, seed: int, horizon: Optional[int] = None) -> RunResult:
     """Simulate one seeded run step by step through the estimator state machine.
 
     Every sensor produces its message for step k, the full round is
     delivered along the step-k edges, and every sensor consumes its closed
-    neighborhood's messages in the same k. With ``instrument`` set, the
-    result also carries the measurement-consumption trail.
+    neighborhood's messages in the same k.
     """
     K = _horizon(s, horizon)
     n, d = s.n, s.d
@@ -467,7 +463,6 @@ def run_single(
     counts: list[list[int]] = [[0] for _ in range(n)]
     eff: list[list[bool]] = [[] for _ in range(n)]
     payload_total = 0
-    consumed: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     phis = [regressor_table(g, K) for g in s.generators]
     # vecdot shares the np.dot kernel of measure(), as in step_tables
     y_dets = [(np.vecdot(p, s.theta) + 0.0).tolist() for p in phis]
@@ -490,17 +485,13 @@ def run_single(
             y = y_dets[i - 1][k] + v
             phi_hist[i - 1] = [p, *phi_hist[i - 1][: d - 1]]  # newest first, at most d
             y_hist[i - 1] = [y, *y_hist[i - 1][: d - 1]]
-            msg, _ = drem_transform(i, k, phi_hist[i - 1], y_hist[i - 1])
+            msg = drem_transform(i, phi_hist[i - 1], y_hist[i - 1])
             assert msg.payload_size == d + 1, "message payload must be d+1 reals"
             payload_total += msg.payload_size * hood[i - 1][1]
             msgs[i] = msg
         for i in range(1, n + 1):
             received = [msgs[j] for j in hood[i - 1][0]]
             state, effective = node_step(states[i - 1], k, msgs[i], received, s.schedule, d)
-            if instrument and effective:
-                for j in closed_in_neighborhood(s.graph, i, k):
-                    if msgs[j].delta_bar != 0.0:
-                        consumed[i - 1].extend((j, t) for t in range(k - d + 1, k + 1))
             eff[i - 1].append(effective)
             states[i - 1] = state
             counts[i - 1].append(state.counter)
@@ -515,7 +506,6 @@ def run_single(
         counters=np.array(counts, dtype=np.int64).reshape(n, K + 1),
         payload_size=d + 1,
         payload_total=payload_total,
-        consumed=tuple(tuple(c) for c in consumed) if instrument else None,
     )
 
 
@@ -594,28 +584,25 @@ def run_monte_carlo(
     base_seed: int,
     workers: int = 1,
     horizon: Optional[int] = None,
-    chunk_runs: int = CHUNK_RUNS,
 ) -> MonteCarloAggregate:
     """Aggregate ``runs`` seeded runs; byte-identical for any worker count.
 
-    Seeds are base_seed+1..base_seed+runs, split into fixed-size chunks that
-    share one set of step tables. Chunk results are merged strictly in chunk
-    order: sums add, and squared deviations combine by the pairwise update
-    of Chan, Golub and LeVeque (1979), which avoids the cancellation of
-    sum(x^2) - M*mean^2.
+    Seeds are base_seed+1..base_seed+runs, split in this process into chunks
+    of ``CHUNK_RUNS`` runs (read at call time) that share one set of step
+    tables. Chunk results are merged strictly in chunk order: sums add, and
+    squared deviations combine by the pairwise update of Chan, Golub and
+    LeVeque (1979), which avoids the cancellation of sum(x^2) - M*mean^2.
     """
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")
-    if chunk_runs < 1:
-        raise ValueError(f"chunk size must be positive, got {chunk_runs}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     K = _horizon(s, horizon)
     tables = step_tables(s, K)
     seeds = [base_seed + r for r in range(1, runs + 1)]
     chunks = [
-        (s, tables, tuple(seeds[c : c + chunk_runs]))
-        for c in range(0, runs, chunk_runs)
+        (s, tables, tuple(seeds[c : c + CHUNK_RUNS]))
+        for c in range(0, runs, CHUNK_RUNS)
     ]
     if workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:

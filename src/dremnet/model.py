@@ -17,6 +17,7 @@ exact same values.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -41,7 +42,13 @@ _INV_2_53 = 2.0 ** -53
 
 
 def _finite(values, what: str) -> tuple[float, ...]:
-    """The values as a tuple of floats; raises ValueError naming ``what`` on inf or NaN."""
+    """The values as a tuple of floats; raises ValueError naming ``what`` on a non-number, inf or NaN.
+
+    Python and numpy ints and floats count as numbers; str and bool do not.
+    """
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise ValueError(f"{what} must be a number, got {x!r}")
     out = tuple(float(x) for x in values)
     for x in out:
         if not math.isfinite(x):
@@ -104,6 +111,8 @@ class RecursiveCosine:
         for name in ("initial", "angle_step"):
             object.__setattr__(self, name, _finite((getattr(self, name),), name)[0])
         self._values.append(self.initial)
+        if isinstance(self.slot, bool) or not isinstance(self.slot, numbers.Integral):
+            raise ValueError(f"slot must be an integer, got {self.slot!r}")
         if not 0 <= self.slot < len(self.base):
             raise ValueError(f"slot {self.slot} outside base of length {len(self.base)}")
 

@@ -11,6 +11,7 @@ own message joins its update through the closed neighborhood instead.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -28,14 +29,36 @@ __all__ = [
     "closed_in_neighborhood",
     "neighborhood_index",
     "neighborhood_values",
-    "validate_schedule",
 ]
 
 Edge = tuple[int, int]
 
 
-def _freeze_edges(edges) -> tuple[Edge, ...]:
-    return tuple((int(j), int(i)) for (j, i) in edges)
+def _edge_sets(n: int, sets, label: str, empty: str) -> tuple[tuple[Edge, ...], ...]:
+    """The edge sets as tuples of (from, to) pairs, checked against n sensors.
+
+    Endpoints must be integers (bool excluded) in 1..n, with no self-loops,
+    and ``sets`` must be non-empty (else ValueError ``empty``). A ValueError
+    lists every bad edge under its set, named by ``label.format(index)``.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one sensor, got n={n}")
+    frozen = tuple(tuple((j, i) for (j, i) in edges) for edges in sets)
+    if not frozen:
+        raise ValueError(empty)
+    problems = []
+    for s, edges in enumerate(frozen):
+        where = label.format(s)
+        for (j, i) in edges:
+            if any(isinstance(x, bool) or not isinstance(x, numbers.Integral) for x in (j, i)):
+                problems.append(f"{where}: edge ({j!r}, {i!r}) needs integer endpoints")
+            elif not (1 <= j <= n and 1 <= i <= n):
+                problems.append(f"{where}: edge ({j}, {i}) out of range for n={n}")
+            elif j == i:
+                problems.append(f"{where}: self-loop ({j}, {i}) not allowed")
+    if problems:
+        raise ValueError("; ".join(problems))
+    return frozen
 
 
 @dataclass(frozen=True)
@@ -46,9 +69,8 @@ class StaticGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need at least one sensor, got n={self.n}")
-        object.__setattr__(self, "edges", _freeze_edges(self.edges))
+        (edges,) = _edge_sets(self.n, (self.edges,), "static edge set", "")
+        object.__setattr__(self, "edges", edges)
 
     def edges_at(self, k: int) -> tuple[Edge, ...]:
         return self.edges
@@ -62,15 +84,10 @@ class PeriodicGraph:
     stages: tuple[tuple[Edge, ...], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need at least one sensor, got n={self.n}")
-        object.__setattr__(
-            self, "stages", tuple(_freeze_edges(s) for s in self.stages)
-        )
+        stages = _edge_sets(self.n, self.stages, "stage {}", "periodic schedule has period 0")
+        object.__setattr__(self, "stages", stages)
 
     def edges_at(self, k: int) -> tuple[Edge, ...]:
-        if not self.stages:
-            raise ValueError("periodic schedule has period 0")
         return self.stages[k % len(self.stages)]
 
 
@@ -82,18 +99,11 @@ class TableGraph:
     table: tuple[tuple[Edge, ...], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need at least one sensor, got n={self.n}")
-        object.__setattr__(
-            self, "table", tuple(_freeze_edges(s) for s in self.table)
-        )
+        table = _edge_sets(self.n, self.table, "step {}", "table schedule has no entries")
+        object.__setattr__(self, "table", table)
 
     def edges_at(self, k: int) -> tuple[Edge, ...]:
-        if not self.table:
-            raise ValueError("table schedule has no entries")
-        if k < len(self.table):
-            return self.table[k]
-        return self.table[-1]
+        return self.table[min(k, len(self.table) - 1)]
 
 
 GraphSchedule = Union[StaticGraph, PeriodicGraph, TableGraph]
@@ -163,36 +173,3 @@ def neighborhood_values(index: np.ndarray, values: np.ndarray) -> np.ndarray:
     steps = np.arange(index.shape[1])[None, :, None]
     valid = (index >= 0).reshape(index.shape + (1,) * (values.ndim - 2))
     return np.where(valid, values[index, steps], 0.0)
-
-
-def _stage_problems(stage: tuple[Edge, ...], n: int, where: str) -> list[str]:
-    out = []
-    for (j, i) in stage:
-        if not (1 <= j <= n and 1 <= i <= n):
-            out.append(f"{where}: edge ({j}, {i}) out of range for n={n}")
-        elif j == i:
-            out.append(f"{where}: self-loop ({j}, {i}) not allowed")
-    return out
-
-
-def validate_schedule(g: GraphSchedule) -> list[str]:
-    """Audit a schedule; returns violation strings, empty when it is sound.
-
-    Flags out-of-range endpoints, self-loops, a period-0 periodic schedule,
-    and an empty table.
-    """
-    if isinstance(g, StaticGraph):
-        return _stage_problems(g.edges, g.n, "static edge set")
-    if isinstance(g, PeriodicGraph):
-        if not g.stages:
-            return ["periodic schedule has period 0"]
-        problems = []
-        for s, stage in enumerate(g.stages):
-            problems.extend(_stage_problems(stage, g.n, f"stage {s}"))
-        return problems
-    if not g.table:
-        return ["table schedule has no entries"]
-    problems = []
-    for k, stage in enumerate(g.table):
-        problems.extend(_stage_problems(stage, g.n, f"step {k}"))
-    return problems

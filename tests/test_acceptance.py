@@ -12,11 +12,12 @@ import pytest
 
 from dremnet.analysis import covariance_recursion, mean_recursion
 from dremnet.cli import main
-from dremnet.drem import adjugate, determinant, drem_transform
+from dremnet.drem import adjugate, determinant, drem_transform, extend, mix
 from dremnet.excitation import find_certificate, single_sensor_pe
 from dremnet.harness import delta_traces, run_monte_carlo, run_single
 
 from test_drem import leibniz_det, oracle_adjugate
+from test_harness import consumption_trail, single_use_problems
 
 
 def _report(criterion: int, description: str, ok: bool, detail: str = "") -> None:
@@ -46,8 +47,9 @@ def test_criterion_1_identity():
         phi = [rng.uniform(-2, 2, size=d) for _ in range(d)]
         v = rng.normal(size=d)
         y = [float(theta @ p) + v[r] for r, p in enumerate(phi)]
-        msg, vbar = drem_transform(1, d - 1, phi, y, v)
-        rhs = msg.delta_bar * theta + vbar.vbar
+        msg = drem_transform(1, phi, y)
+        vbar = mix(*extend(phi), v).ybar  # adj(Phi) applied to the stacked noise
+        rhs = msg.delta_bar * theta + vbar
         rel = np.max(np.abs(msg.ybar - rhs) / np.maximum(np.abs(rhs), 1e-300))
         worst = max(worst, float(rel))
     _report(
@@ -176,18 +178,14 @@ def test_criterion_7_excitation_audit(sec5):
 
 
 def test_criterion_8_single_use(sec5):
-    res = run_single(sec5, seed=42, horizon=2000, instrument=True)
-    no_reuse = all(len(c) == len(set(c)) for c in res.consumed)
-    spacing_ok = True
-    for i in range(1, sec5.n + 1):
-        gaps = np.diff(res.effective_steps(i))
-        spacing_ok = spacing_ok and bool(np.all(gaps >= sec5.d + 1))
+    res = run_single(sec5, seed=42, horizon=2000)
+    problems = single_use_problems(sec5, res)
     _report(
         8,
         "2000-step run consumes no (sensor, time) measurement pair twice and "
         "spaces effective updates >= d+1 apart",
-        no_reuse and spacing_ok,
-        f"trail sizes {[len(c) for c in res.consumed]}",
+        not problems,
+        "; ".join(problems) or f"trail sizes {[len(c) for c in consumption_trail(sec5, res)]}",
     )
 
 

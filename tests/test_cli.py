@@ -144,6 +144,41 @@ class TestCheckPe:
         assert main(["check-pe", "--scenario", str(p)]) == 1
         assert "error: estimator.step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("first, second", [("1e999", "1"), ("1", "1e999")])
+    def test_duplicate_key_rejected(self, tmp_path, capsys, first, second):
+        # json keeps the last of two equal keys, so either order once loaded
+        # a different scenario
+        cfg = {
+            "model": {
+                "theta": [1.0, 2.0],
+                "generators": [{"kind": "periodic-list", "vectors": [[1, 0], [0, 1]]}],
+                "noise": [1.0],
+            },
+            "graph": {"kind": "static", "n": 1, "edges": []},
+            "estimator": {"mu": [0.1], "step": {"kind": "harmonic", "c": "C"}},
+            "run": {"horizon": 40},
+        }
+        p = tmp_path / "dup.json"
+        p.write_text(json.dumps(cfg).replace('"c": "C"', f'"c": {first}, "c": {second}'))
+        assert main(["check-pe", "--scenario", str(p)]) == 1
+        assert f'error: {p}: duplicate key "c"' in capsys.readouterr().err
+
+    def test_bad_edge_named(self, tmp_path, capsys):
+        cfg = {
+            "model": {
+                "theta": [1.0],
+                "generators": [{"kind": "constant", "vector": [1]}] * 4,
+                "noise": [1.0] * 4,
+            },
+            "graph": {"kind": "static", "n": 4, "edges": [[5, 1]]},
+            "estimator": {"mu": [0.1] * 4, "step": {"kind": "harmonic", "c": 0.7}},
+            "run": {"horizon": 40},
+        }
+        p = tmp_path / "edge.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["check-pe", "--scenario", str(p)]) == 1
+        assert "error: graph: static edge set: edge (5, 1) out of range for n=4" in capsys.readouterr().err
+
     @pytest.mark.parametrize("omega", ["nan", "inf", "-1"])
     def test_bad_omega(self, omega, capsys):
         assert main(["check-pe", "--steps", "20", "--omega", omega]) == 1

@@ -10,7 +10,7 @@ import io
 
 import pytest
 
-from dremnet import cli
+from dremnet import cli, harness
 from dremnet.analysis import export_oracle_csv, moments
 from dremnet.harness import (
     check_scenario,
@@ -90,9 +90,10 @@ def test_run(scenario, tmp_path):
     assert (tmp_path / "run.csv").read_bytes() == ref_run(run).encode()
 
 
-def test_aggregate(scenario, tmp_path):
+def test_aggregate(scenario, tmp_path, monkeypatch):
     _, s = scenario
-    agg = run_monte_carlo(s, 20, 4, horizon=STEPS, chunk_runs=8)
+    monkeypatch.setattr(harness, "CHUNK_RUNS", 8)
+    agg = run_monte_carlo(s, 20, 4, horizon=STEPS)
     export_csv(agg, tmp_path / "agg.csv")
     assert (tmp_path / "agg.csv").read_bytes() == ref_aggregate(agg).encode()
 

@@ -160,7 +160,7 @@ class TestMix:
         det, adj = extend([phi_new, phi_old])
         assert det == 1.0
         y = [float(theta @ phi_new), float(theta @ phi_old)]
-        msg = mix(det, adj, y, sensor=1, step=1)
+        msg = mix(det, adj, y, sensor=1)
         np.testing.assert_allclose(msg.ybar, det * theta, rtol=1e-12)
         assert msg.delta_bar == 1.0
         assert msg.payload_size == 3
@@ -179,17 +179,16 @@ class TestMix:
 class TestDremTransform:
     def test_warm_up_is_inert(self):
         phi = [np.array([1.0, 2.0])]
-        msg, vbar = drem_transform(3, 0, phi, [5.0], [0.1])
+        msg = drem_transform(3, phi, [5.0])
         assert msg.delta_bar == 0.0
         assert np.all(msg.ybar == 0.0)
-        assert msg.sensor == 3 and msg.step == 0
-        assert np.all(vbar.vbar == 0.0)
+        assert msg.sensor == 3
 
     def test_full_window_matches_extend_and_mix(self):
         rng = np.random.default_rng(5)
         phi = [rng.uniform(-2, 2, size=2) for _ in range(2)]
         y = [1.25, -0.5]
-        msg, _ = drem_transform(1, 5, phi, y)
+        msg = drem_transform(1, phi, y)
         det, adj = extend(phi)
         ref = mix(det, adj, y)
         assert msg.delta_bar == det
@@ -204,24 +203,26 @@ class TestDremTransform:
                 phi = [rng.uniform(-2, 2, size=d) for _ in range(d)]
                 v = rng.normal(size=d)
                 y = [float(theta @ p) + v[t] for t, p in enumerate(phi)]
-                msg, vbar = drem_transform(1, d - 1, phi, y, v)
+                msg = drem_transform(1, phi, y)
+                # the mixed noise: adj(Phi) applied to the stacked noise
+                vbar = mix(*extend(phi), v).ybar
                 np.testing.assert_allclose(
                     msg.ybar,
-                    msg.delta_bar * theta + vbar.vbar,
+                    msg.delta_bar * theta + vbar,
                     rtol=1e-9,
                     atol=1e-9,
                 )
 
     def test_constant_regressor_yields_zero_delta(self):
         phi = [np.array([1.0, 1.0]), np.array([1.0, 1.0])]
-        msg, _ = drem_transform(4, 1, phi, [0.5, 0.5])
+        msg = drem_transform(4, phi, [0.5, 0.5])
         assert msg.delta_bar == 0.0  # exactly: duplicate rows
 
     def test_longer_history_uses_newest_window(self):
         phi = [np.array([2.0, 3.0]), np.array([1.0, 2.0]), np.array([9.0, 9.0])]
         y = [2.0, 0.5, 99.0]
-        msg, _ = drem_transform(1, 2, phi, y)
-        ref, _ = drem_transform(1, 2, phi[:2], y[:2])
+        msg = drem_transform(1, phi, y)
+        ref = drem_transform(1, phi[:2], y[:2])
         assert msg.delta_bar == ref.delta_bar
         assert np.array_equal(msg.ybar, ref.ybar)
 

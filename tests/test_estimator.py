@@ -21,7 +21,7 @@ from dremnet.estimator import (
 
 
 def msg(sensor, delta, ybar):
-    return DremMessage(ybar=np.asarray(ybar, dtype=float), delta_bar=delta, sensor=sensor, step=0)
+    return DremMessage(ybar=np.asarray(ybar, dtype=float), delta_bar=delta, sensor=sensor)
 
 
 class TestStepSchedules:

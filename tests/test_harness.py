@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from dremnet import harness
 from dremnet.estimator import HarmonicSchedule, TableSchedule
 from dremnet.excitation import local_pe_check
 from dremnet.harness import (
@@ -22,7 +23,14 @@ from dremnet.harness import (
     step_tables,
 )
 from dremnet.model import Constant, CustomTable, PeriodicList, RecursiveCosine
-from dremnet.topology import PeriodicGraph, StaticGraph, TableGraph, edges_at, ring
+from dremnet.topology import (
+    PeriodicGraph,
+    StaticGraph,
+    TableGraph,
+    closed_in_neighborhood,
+    edges_at,
+    ring,
+)
 
 # regression anchors for the builtin benchmark, frozen from the
 # deterministic noise-free trajectory
@@ -49,6 +57,37 @@ def tiny_scenario(**overrides) -> Scenario:
     )
     base.update(overrides)
     return Scenario(**base)
+
+
+def consumption_trail(s: Scenario, run) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per sensor, every (source sensor, measurement time) pair its effective updates consumed.
+
+    The trail needs no noise: an effective update of sensor i at step k
+    consumes the measurements t = k-d+1..k of each member j of its closed
+    neighborhood whose scalar regressor delta_bar_j(k) is nonzero.
+    """
+    delta = step_tables(s, run.horizon).delta
+    return tuple(
+        tuple(
+            (j, t)
+            for k in run.effective_steps(i).tolist()
+            for j in closed_in_neighborhood(s.graph, i, k)
+            if delta[j - 1, k] != 0.0
+            for t in range(k - s.d + 1, k + 1)
+        )
+        for i in range(1, s.n + 1)
+    )
+
+
+def single_use_problems(s: Scenario, run) -> list[str]:
+    """Measurements consumed twice by one sensor, and effective updates closer than d+1 steps."""
+    problems = []
+    for i, trail in enumerate(consumption_trail(s, run), start=1):
+        if len(trail) != len(set(trail)):
+            problems.append(f"sensor {i} consumed a measurement twice")
+        if np.any(np.diff(run.effective_steps(i)) < s.d + 1):
+            problems.append(f"sensor {i} updated twice within {s.d + 1} steps")
+    return problems
 
 
 class TestBuiltin:
@@ -338,8 +377,9 @@ class TestScenarioValidation:
             tiny_scenario(graph=ring(3))
 
     def test_bad_graph_schedule(self):
-        with pytest.raises(ScenarioError, match="self-loop"):
-            tiny_scenario(graph=StaticGraph(n=1, edges=((1, 1),)))
+        # the graph rejects its own bad edges before a scenario holds it
+        with pytest.raises(ValueError, match="self-loop"):
+            StaticGraph(n=1, edges=((1, 1),))
 
     def test_theta_hat0_shape(self):
         with pytest.raises(ScenarioError, match="theta_hat0"):
@@ -460,19 +500,28 @@ class TestRunSingle:
         assert res.error_norm[0, -1] == pytest.approx(0.10064048289913607, rel=1e-9)
         assert res.error_norm[0, -1] < 0.2 * res.error_norm[0, 0]
 
-    def test_instrumentation_disabled_by_default(self, sec5):
-        res = run_single(sec5, seed=2, horizon=10)
-        assert res.consumed is None
-
     def test_instrumentation_trail(self, sec5):
-        res = run_single(sec5, seed=2, horizon=20, instrument=True)
+        res = run_single(sec5, seed=2, horizon=20)
+        trail = consumption_trail(sec5, res)
         # sensor 1 hears itself and sensor 4; sensor 4's delta_bar is always
         # zero, so only (1, t) pairs appear
-        sources = {j for (j, t) in res.consumed[0]}
+        sources = {j for (j, t) in trail[0]}
         assert sources == {1}
         # sensor 2 hears sensor 1 and itself, both excited
-        sources2 = {j for (j, t) in res.consumed[1]}
+        sources2 = {j for (j, t) in trail[1]}
         assert sources2 == {1, 2}
+        # each update consumes a window of d measurements per excited source
+        assert [len(c) for c in trail] == [12, 22, 22, 12]
+
+    @pytest.mark.parametrize("name", ["periodic_d3", "table_d5"])
+    def test_single_use(self, name, request):
+        # the counter gate on a d > 2 scenario with a time-varying graph
+        s = request.getfixturevalue(name)
+        res = run_single(s, seed=42, horizon=300)
+        trail = consumption_trail(s, res)
+        assert all(trail)
+        assert any(j != i for i, c in enumerate(trail, start=1) for (j, _) in c)
+        assert single_use_problems(s, res) == []
 
 
 class TestMonteCarlo:
@@ -525,19 +574,22 @@ class TestMonteCarlo:
         [(24, 8, 4), (2 * CHUNK_RUNS + 1, CHUNK_RUNS, 2)],
         ids=["chunk8-workers4", "default-chunk-workers2"],
     )
-    def test_worker_count_is_invisible(self, sec5, runs, chunk_runs, workers):
-        kw = dict(runs=runs, base_seed=0, horizon=25, chunk_runs=chunk_runs)
+    def test_worker_count_is_invisible(self, sec5, monkeypatch, runs, chunk_runs, workers):
+        # chunks are split in the calling process, so the patched size holds in workers too
+        monkeypatch.setattr(harness, "CHUNK_RUNS", chunk_runs)
+        kw = dict(runs=runs, base_seed=0, horizon=25)
         a = run_monte_carlo(sec5, workers=1, **kw)
         b = run_monte_carlo(sec5, workers=workers, **kw)
         assert a.mean_tilde.tobytes() == b.mean_tilde.tobytes()
         assert a.var_tilde.tobytes() == b.var_tilde.tobytes()
         assert a.mean_error_norm.tobytes() == b.mean_error_norm.tobytes()
 
-    def test_chunk_size_changes_only_rounding(self, sec5):
+    def test_chunk_size_changes_only_rounding(self, sec5, monkeypatch):
         # regrouping the per-chunk sums reorders float additions, so only
         # worker placement is byte-invisible; chunk size agrees to rounding
-        a = run_monte_carlo(sec5, runs=10, base_seed=0, horizon=25, chunk_runs=3)
-        b = run_monte_carlo(sec5, runs=10, base_seed=0, horizon=25, chunk_runs=CHUNK_RUNS)
+        b = run_monte_carlo(sec5, runs=10, base_seed=0, horizon=25)
+        monkeypatch.setattr(harness, "CHUNK_RUNS", 3)
+        a = run_monte_carlo(sec5, runs=10, base_seed=0, horizon=25)
         np.testing.assert_allclose(a.mean_tilde, b.mean_tilde, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(a.var_tilde, b.var_tilde, rtol=1e-9, atol=1e-15)
 
@@ -552,8 +604,6 @@ class TestMonteCarlo:
     def test_argument_validation(self, sec5):
         with pytest.raises(ValueError):
             run_monte_carlo(sec5, runs=0, base_seed=0)
-        with pytest.raises(ValueError):
-            run_monte_carlo(sec5, runs=4, base_seed=0, chunk_runs=0)
         for workers in (0, -2):
             with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
                 run_monte_carlo(sec5, runs=4, base_seed=0, workers=workers)

@@ -197,6 +197,26 @@ class TestNonFinite:
             make(x)
 
 
+class TestNoCoercion:
+    def test_vector_entries_must_be_numbers(self):
+        with pytest.raises(ValueError, match="^vector entry must be a number, got '1'$"):
+            Constant(vector=("1", True))
+        with pytest.raises(ValueError, match="^vector entry must be a number, got True$"):
+            Constant(vector=(1.0, True))
+
+    def test_cosine_fields(self):
+        with pytest.raises(ValueError, match="^slot must be an integer, got True$"):
+            RecursiveCosine(base=(0.0, 1.0), slot=True, initial=3.0, angle_step=0.5)
+        with pytest.raises(ValueError, match="^initial must be a number, got '3'$"):
+            RecursiveCosine(base=(0.0, 1.0), slot=0, initial="3", angle_step=0.5)
+
+    def test_numpy_numbers_stay_valid(self):
+        gen = CustomTable(vectors=((np.float64(0.5), np.int64(2)),))
+        assert gen.vectors == ((0.5, 2.0),)
+        gen = RecursiveCosine(base=(0.0, 1.0), slot=np.int64(1), initial=np.float32(0.5), angle_step=1.0)
+        assert gen.initial == 0.5 and regressor_at(gen, 0).tolist() == [0.0, 0.5]
+
+
 class TestNoise:
     def test_deterministic_in_seed_sensor_step(self):
         nm = NoiseModel(variances=(1.0, 1.0), seed=123)

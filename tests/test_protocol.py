@@ -54,7 +54,7 @@ def test_update_estimate_matches_array_form(d):
             delta = signed_zeros(rng, rng.normal(size=width))
             sensors = rng.permutation(width) + 1
             inbox = [
-                DremMessage(ybar=ybar[j], delta_bar=float(delta[j]), sensor=int(sensors[j]), step=0)
+                DremMessage(ybar=ybar[j], delta_bar=float(delta[j]), sensor=int(sensors[j]))
                 for j in range(width)
             ]
             gated = gate(inbox, state.counter, d)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dremnet.topology import (
@@ -9,7 +10,6 @@ from dremnet.topology import (
     in_neighbors,
     out_neighbors,
     ring,
-    validate_schedule,
 )
 
 
@@ -92,44 +92,47 @@ class TestTimeVarying:
         assert edges_at(g, 7) == ((3, 4),)  # held
         assert edges_at(g, 500) == ((3, 4),)
 
-    def test_period_zero_raises_on_query(self):
-        g = PeriodicGraph(n=2, stages=())
-        with pytest.raises(ValueError, match="period 0"):
-            edges_at(g, 0)
-
-    def test_empty_table_raises_on_query(self):
-        g = TableGraph(n=2, table=())
-        with pytest.raises(ValueError, match="no entries"):
-            edges_at(g, 0)
-
 
 class TestValidation:
+    # graphs check their own edges when constructed
+
     def test_clean_ring(self):
-        assert validate_schedule(ring(4)) == []
+        g = StaticGraph(n=4, edges=[[1, 2], [2, 3], [3, 4], [4, 1]])
+        assert g == ring(4)
 
     def test_out_of_range_edge(self):
-        g = StaticGraph(n=4, edges=((5, 1),))
-        problems = validate_schedule(g)
-        assert len(problems) == 1
-        assert "(5, 1)" in problems[0]
+        with pytest.raises(ValueError, match=r"^static edge set: edge \(5, 1\) out of range for n=4$"):
+            StaticGraph(n=4, edges=((5, 1),))
 
     def test_self_loop(self):
-        g = StaticGraph(n=3, edges=((2, 2),))
-        problems = validate_schedule(g)
-        assert len(problems) == 1
-        assert "self-loop" in problems[0]
+        with pytest.raises(ValueError, match=r"^static edge set: self-loop \(2, 2\) not allowed$"):
+            StaticGraph(n=3, edges=((2, 2),))
 
     def test_period_zero_reported(self):
-        problems = validate_schedule(PeriodicGraph(n=2, stages=()))
-        assert problems == ["periodic schedule has period 0"]
+        with pytest.raises(ValueError, match="^periodic schedule has period 0$"):
+            PeriodicGraph(n=2, stages=())
 
     def test_empty_table_reported(self):
-        problems = validate_schedule(TableGraph(n=2, table=()))
-        assert len(problems) == 1
-        assert "no entries" in problems[0]
+        with pytest.raises(ValueError, match="^table schedule has no entries$"):
+            TableGraph(n=2, table=())
 
     def test_bad_stage_located(self):
-        g = PeriodicGraph(n=3, stages=(((1, 2),), ((0, 3),)))
-        problems = validate_schedule(g)
-        assert len(problems) == 1
-        assert "stage 1" in problems[0]
+        with pytest.raises(ValueError, match=r"^stage 1: edge \(0, 3\) out of range for n=3$"):
+            PeriodicGraph(n=3, stages=(((1, 2),), ((0, 3),)))
+        with pytest.raises(ValueError, match=r"^step 2: self-loop \(1, 1\) not allowed$"):
+            TableGraph(n=2, table=((), ((1, 2),), ((1, 1),)))
+
+    def test_every_bad_edge_listed(self):
+        with pytest.raises(ValueError, match=r"^stage 0: edge \(3, 1\) .*; stage 1: self-loop \(2, 2\) "):
+            PeriodicGraph(n=2, stages=(((3, 1), (1, 2)), ((2, 2),)))
+
+    def test_endpoints_are_not_coerced(self):
+        bad = r"edge \('1', '2'\) needs integer endpoints; .* edge \(2\.9, 1\) needs"
+        with pytest.raises(ValueError, match=bad):
+            StaticGraph(n=2, edges=[("1", "2"), (2.9, 1)])
+        with pytest.raises(ValueError, match=r"edge \(True, 2\) needs integer endpoints"):
+            StaticGraph(n=2, edges=[(True, 2)])
+
+    def test_numpy_integer_endpoints(self):
+        g = StaticGraph(n=2, edges=[(np.int64(1), np.int32(2))])
+        assert in_neighbors(g, 2, 0) == (1,)
