@@ -92,6 +92,16 @@ class TestTimeVarying:
         assert edges_at(g, 7) == ((3, 4),)  # held
         assert edges_at(g, 500) == ((3, 4),)
 
+    # an empty schedule is refused when built, so no query ever reaches one
+
+    def test_period_zero_raises_on_query(self):
+        with pytest.raises(ValueError, match="period 0"):
+            edges_at(PeriodicGraph(n=2, stages=()), 0)
+
+    def test_empty_table_raises_on_query(self):
+        with pytest.raises(ValueError, match="no entries"):
+            edges_at(TableGraph(n=2, table=()), 0)
+
 
 class TestValidation:
     # graphs check their own edges when constructed
