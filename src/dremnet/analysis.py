@@ -87,7 +87,7 @@ def step_coefficients(s: Scenario, horizon: Optional[int] = None) -> StepCoeffic
     # vecdot runs np.dot's kernel, whose rounding a channel loop does not match
     noise_var = np.array(s.variances)[:, None, None] * np.vecdot(t.adj, t.adj)
     srow = t.gated_sum
-    on = srow != 0.0
+    on = t.effective
     mu = np.array(s.mu)[:, None]
     bet = np.where(on, t.alpha * srow / (mu + srow), 0.0)
     # a float ** 2 squares through libm pow, which float_power keeps and the
@@ -173,7 +173,8 @@ class TheoremReport:
     ``violations`` lists broken standing assumptions; ``mean_final`` and
     ``cov_final`` are the per-sensor, per-channel terminal |E[theta_tilde]|
     and cov, each judged against 1e-2; ``ratio_max`` is the largest realized
-    eps/beta against its analytical cap C alpha / mu over effective steps.
+    eps/beta over effective steps, judged against its analytical cap
+    C alpha / mu with C = max cov[vbar_jl(k)], the largest mixed-noise variance.
     """
 
     horizon: int
@@ -193,8 +194,8 @@ def theorem_check(s: Scenario, horizon: Optional[int] = None) -> TheoremReport:
     The assumptions are audited by ``check_scenario`` with its defaults
     (windows H <= 8, omega = 1). Convergence is judged on the oracle
     recursions at the final step; epsilon/beta is additionally checked
-    against its cap C * alpha / mu with C the realized max squared
-    adjugate-row norm times the largest noise variance.
+    against its cap C * alpha / mu with C the largest mixed-noise variance
+    cov[vbar_jl(k)] over all sensors, steps and channels.
     """
     K = _horizon(s, horizon)
     report = check_scenario(s, horizon=K)
@@ -205,9 +206,7 @@ def theorem_check(s: Scenario, horizon: Optional[int] = None) -> TheoremReport:
     cov_final = exact[:, K]
     mean_ok = bool(np.all(mean_final < _THRESHOLD))
     cov_ok = bool(np.all(cov_final < _THRESHOLD))
-    r_max = max(s.variances) if s.variances else 0.0
-    b_sq = float(np.max(coef.noise_var)) / r_max if r_max > 0 else 0.0
-    cap_const = b_sq * r_max
+    cap_const = float(np.max(coef.noise_var))
     on = coef.beta != 0.0
     ratio = coef.epsilon.max(axis=2)[on] / coef.beta[on]
     cap = (cap_const * coef.alpha / np.array(s.mu)[:, None])[on]

@@ -3,20 +3,23 @@
 Each sensor i keeps an estimate theta_hat_i, a countdown counter c_i, and a
 regularizer mu_i. One synchronous round at step k:
 
-1. gate: the received scalar regressors delta_bar_j pass through only when
-   the receiver's counter has matured, c_i(k) >= d; otherwise delta_j = 0.
-2. update: every channel l moves by the same normalized step,
+1. rule: the sensor updates at step k iff its counter has matured,
+   c_i(k) >= d, and the sum of delta_bar_j^2 over its closed in-neighborhood
+   is nonzero (``updates``).
+2. gate: the received scalar regressors delta_bar_j pass through when the
+   sensor updates; otherwise delta_j = 0.
+3. update: every channel l moves by the same normalized step,
 
        theta_l += alpha(k) * sum_j delta_j (ybar_jl - delta_j theta_l)
                   / (mu_i + sum_j delta_j^2),
 
    the sums running over the closed in-neighborhood.
-3. reset: the counter returns to 0 when an effective update just happened
-   (gated sum of squares nonzero, which requires c_i >= d), else it ticks up.
+4. reset: the counter returns to 0 when the sensor updated, else it ticks up.
 
-The gate plus reset force consecutive effective updates of one sensor at
+The rule plus reset force consecutive effective updates of one sensor at
 least d+1 steps apart, so the d-wide measurement windows they consume never
-overlap: no raw measurement is used twice.
+overlap: no raw measurement is used twice. Every consumer of the rule (this
+module's ``node_step`` and the step tables of ``harness``) calls ``updates``.
 """
 
 from __future__ import annotations
@@ -38,10 +41,9 @@ __all__ = [
     "step_size",
     "schedule_violations",
     "asymptotic_violations",
+    "updates",
     "gate",
-    "gated_sum",
     "update_estimate",
-    "update_counter",
     "node_step",
 ]
 
@@ -160,29 +162,29 @@ class GatedMessage:
     sensor: int
 
 
-def gate(inbox: Sequence[DremMessage], counter: int, d: int) -> tuple[GatedMessage, ...]:
+def updates(counter: int, full_sum: float, d: int) -> bool:
+    """Whether a sensor makes an effective update, resetting its counter.
+
+    ``full_sum`` is the ungated sum of delta_bar_j^2 over the closed
+    in-neighborhood. The comparison with 0 is exact on purpose: warm-up and
+    genuinely degenerate regressor windows produce exact zero determinants,
+    while a tiny nonzero determinant is real excitation and must reset.
+    """
+    return counter >= d and full_sum != 0.0
+
+
+def gate(inbox: Sequence[DremMessage], open: bool) -> tuple[GatedMessage, ...]:
     """Apply the counter gate to the inbox of the closed in-neighborhood.
 
-    delta_j = delta_bar_j when the receiver's counter satisfies
-    counter >= d, else 0. The ybar payloads pass through untouched (a closed
-    gate zeroes their delta prefactor in the update anyway). Messages come
-    back sorted by sensor id; downstream sums rely on that order.
+    delta_j = delta_bar_j when the gate is ``open`` (the sensor updates),
+    else 0. The ybar payloads pass through untouched (a closed gate zeroes
+    their delta prefactor in the update anyway), in inbox order; downstream
+    sums rely on the caller's sort by sensor id.
     """
-    keep = counter >= d
-    out = [
-        GatedMessage(ybar=m.ybar, delta=m.delta_bar if keep else 0.0, sensor=m.sensor)
+    return tuple(
+        GatedMessage(ybar=m.ybar, delta=m.delta_bar if open else 0.0, sensor=m.sensor)
         for m in inbox
-    ]
-    out.sort(key=lambda m: m.sensor)
-    return tuple(out)
-
-
-def gated_sum(gated: Sequence[GatedMessage]) -> float:
-    """Sum of squared gated deltas, the shared update denominator term."""
-    s = 0.0
-    for m in gated:
-        s += m.delta * m.delta
-    return s
+    )
 
 
 def update_estimate(state: NodeState, gated: Sequence[GatedMessage], alpha: float) -> np.ndarray:
@@ -197,7 +199,7 @@ def update_estimate(state: NodeState, gated: Sequence[GatedMessage], alpha: floa
     th = state.theta_hat.tolist()
     num = [0.0] * len(th)
     s = 0.0
-    # fixed accumulation order (gate() sorts by sensor id) so the batched
+    # fixed accumulation order (node_step sorts by sensor id) so the batched
     # engine can replay the identical float sequence
     for m in gated:
         dl = m.delta
@@ -209,18 +211,6 @@ def update_estimate(state: NodeState, gated: Sequence[GatedMessage], alpha: floa
     return np.array([t + (alpha * nu) / den for t, nu in zip(th, num)])
 
 
-def update_counter(counter: int, gated_sum: float, d: int) -> int:
-    """Counter reset: 0 iff an effective update just occurred, else tick up.
-
-    The comparison with 0 is exact on purpose: warm-up and genuinely
-    degenerate regressor windows produce exact zero determinants, while a
-    tiny nonzero determinant is real excitation and must reset.
-    """
-    if gated_sum != 0.0 and counter >= d:
-        return 0
-    return counter + 1
-
-
 def node_step(
     state: NodeState,
     k: int,
@@ -229,7 +219,7 @@ def node_step(
     schedule: StepSchedule,
     d: int,
 ) -> tuple[NodeState, bool]:
-    """One synchronous round for one sensor: gate, update, counter reset.
+    """One synchronous round for one sensor: rule, gate, update, counter reset.
 
     ``received`` holds the step-k messages of the in-neighbors (the caller
     assembles them from the graph); ``own`` is the sensor's simultaneous own
@@ -237,10 +227,11 @@ def node_step(
     and whether the update was effective. The sensor's next broadcast comes
     from the data pipeline once the k+1 measurement exists, not from here.
     """
-    gated = gate([own, *received], state.counter, d)
-    alpha = step_size(schedule, k)
-    theta_next = update_estimate(state, gated, alpha)
-    s = gated_sum(gated)
-    effective = s != 0.0 and state.counter >= d
-    counter_next = update_counter(state.counter, s, d)
+    inbox = sorted([own, *received], key=lambda m: m.sensor)
+    full = 0.0
+    for m in inbox:
+        full += m.delta_bar * m.delta_bar
+    effective = updates(state.counter, full, d)
+    theta_next = update_estimate(state, gate(inbox, effective), step_size(schedule, k))
+    counter_next = 0 if effective else state.counter + 1
     return NodeState(theta_hat=theta_next, counter=counter_next, mu=state.mu), effective

@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
+from . import estimator
 from .drem import drem_transform, extend
 from .estimator import (
     HarmonicSchedule,
@@ -68,7 +69,6 @@ __all__ = [
     "builtin_scenarios",
     "load_scenario",
     "step_tables",
-    "delta_traces",
     "run_single",
     "run_monte_carlo",
     "write_csv",
@@ -381,12 +381,12 @@ def step_tables(s: Scenario, horizon: Optional[int] = None) -> StepTables:
     full = np.zeros((n, K))
     for p in range(members.shape[2]):
         full += dlt[:, :, p] * dlt[:, :, p]
-    # a sensor updates, resetting its counter, once the counter has reached d
-    # and its neighborhood sum is nonzero
+    # read from the module at call time, so the tables and node_step share one rule
+    updates = estimator.updates
     c = [0] * n
     counts = [c]
-    for row in (full != 0.0).T.tolist():
-        c = [0 if ci >= d and nz else ci + 1 for ci, nz in zip(c, row)]
+    for row in full.T.tolist():
+        c = [0 if updates(ci, f, d) else ci + 1 for ci, f in zip(c, row)]
         counts.append(c)
     counters = np.array(counts, dtype=np.int64).T.copy()
     eff = counters[:, 1:] == 0
@@ -404,19 +404,13 @@ def step_tables(s: Scenario, horizon: Optional[int] = None) -> StepTables:
     )
 
 
-def delta_traces(s: Scenario, horizon: Optional[int] = None) -> DeltaTrace:
-    """Scalar-regressor traces delta_bar_i(k) for steps 0..horizon-1."""
-    tables = step_tables(s, horizon)
-    return DeltaTrace(values=tables.delta, d=s.d)
-
-
 @dataclass(frozen=True, eq=False)
 class RunResult:
     """One seeded trajectory.
 
     ``theta_hat[i-1, k]`` is sensor i's estimate at step k (k=0 is the
     initial state), ``error_norm`` its Euclidean distance to the truth,
-    ``effective[i-1, k]`` whether the step-k update moved the estimate, and
+    ``effective[i-1, k]`` whether sensor i updated at step k, and
     ``counters[i-1, k]`` the counter value entering step k.
     """
 
@@ -428,9 +422,6 @@ class RunResult:
     counters: np.ndarray    # (n, K+1) int
     payload_size: int
     payload_total: int
-
-    def effective_steps(self, sensor: int) -> np.ndarray:
-        return np.flatnonzero(self.effective[sensor - 1])
 
 
 def _channel_norm(diff: np.ndarray) -> np.ndarray:
@@ -531,7 +522,7 @@ def _chunk_sums(args: tuple[Scenario, StepTables, tuple[int, ...]]) -> tuple[np.
 
     Replays, elementwise across runs and sensors, the exact float operations
     of run_single: neighbours in ascending order, the same update
-    expression, and sensors whose gated sum is zero left untouched. Only
+    expression, and sensors that do not update left untouched. Only
     steps where some sensor updates are visited; the per-step sums of the
     other steps repeat the last visited ones. Returns (sum_err, sum_tilde,
     m2): the chunk's sums of the error norm and of theta_hat - theta, and
@@ -562,7 +553,7 @@ def _chunk_sums(args: tuple[Scenario, StepTables, tuple[int, ...]]) -> tuple[np.
         changed[k] = True
 
     accumulate(0)
-    for k in np.flatnonzero(tables.gated_sum.any(axis=0)):
+    for k in np.flatnonzero(tables.effective.any(axis=0)):
         srow = tables.gated_sum[:, k]
         ybar = np.zeros((n, m, d))
         for r in range(d):
@@ -572,7 +563,7 @@ def _chunk_sums(args: tuple[Scenario, StepTables, tuple[int, ...]]) -> tuple[np.
             dlt = gated[:, k, p, None, None]
             num += dlt * (ybar[idx[:, k, p]] - dlt * th)
         new = th + (tables.alpha[k] * num) / np.add(s.mu, srow)[:, None, None]
-        th = np.where((srow != 0.0)[:, None, None], new, th)
+        th = np.where(tables.effective[:, k, None, None], new, th)
         accumulate(k + 1)
     fill = np.maximum.accumulate(np.where(changed, np.arange(K + 1), 0))
     return sum_err[:, fill], sum_tilde[:, fill], m2[:, fill]

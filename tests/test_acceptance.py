@@ -14,10 +14,10 @@ from dremnet.analysis import covariance_recursion, mean_recursion
 from dremnet.cli import main
 from dremnet.drem import adjugate, determinant, drem_transform, extend, mix
 from dremnet.excitation import find_certificate, single_sensor_pe
-from dremnet.harness import delta_traces, run_monte_carlo, run_single
+from dremnet.harness import run_monte_carlo, run_single
 
 from test_drem import leibniz_det, oracle_adjugate
-from test_harness import consumption_trail, single_use_problems
+from test_harness import consumption_trail, delta_traces, single_use_problems
 
 
 def _report(criterion: int, description: str, ok: bool, detail: str = "") -> None:

@@ -11,12 +11,11 @@ from dremnet.estimator import (
     TableSchedule,
     asymptotic_violations,
     gate,
-    gated_sum,
     node_step,
     schedule_violations,
     step_size,
-    update_counter,
     update_estimate,
+    updates,
 )
 
 
@@ -84,20 +83,21 @@ class TestStepSchedules:
 
 class TestGate:
     def test_immature_counter_zeroes_deltas(self):
-        inbox = [msg(2, 1.0, [1.0, 2.0]), msg(1, -0.5, [0.0, 0.0])]
-        gated = gate(inbox, counter=1, d=2)
+        inbox = [msg(1, -0.5, [0.0, 0.0]), msg(2, 1.0, [1.0, 2.0])]
+        gated = gate(inbox, open=updates(1, 1.25, d=2))
         assert [m.delta for m in gated] == [0.0, 0.0]
         # payloads untouched
         assert np.array_equal(gated[1].ybar, [1.0, 2.0])
 
     def test_mature_counter_passes_through(self):
+        # the gate keeps the inbox order; node_step sorts by sensor first
         inbox = [msg(3, -1.0, [0.5]), msg(1, 1.0, [2.0]), msg(2, 0.0, [9.0])]
-        gated = gate(inbox, counter=2, d=2)
-        assert [m.sensor for m in gated] == [1, 2, 3]
-        assert [m.delta for m in gated] == [1.0, 0.0, -1.0]
+        gated = gate(inbox, open=updates(2, 2.0, d=2))
+        assert [m.sensor for m in gated] == [3, 1, 2]
+        assert [m.delta for m in gated] == [-1.0, 1.0, 0.0]
 
     def test_self_only_inbox(self):
-        gated = gate([msg(4, 2.0, [1.0])], counter=5, d=2)
+        gated = gate([msg(4, 2.0, [1.0])], open=True)
         assert len(gated) == 1 and gated[0].delta == 2.0
 
 
@@ -151,19 +151,29 @@ class TestUpdate:
 
 class TestCounter:
     def test_reset_on_effective_update(self):
-        assert update_counter(2, 1.0, d=2) == 0
+        assert updates(2, 1.0, d=2)
+        nxt, eff = node_step(
+            NodeState(theta_hat=np.zeros(1), counter=2, mu=0.1), 5, msg(1, 1.0, [2.5]), [],
+            HarmonicSchedule(c=0.7), d=2,
+        )
+        assert eff and nxt.counter == 0
 
     def test_tick_when_sum_zero(self):
-        assert update_counter(2, 0.0, d=2) == 3
+        assert not updates(2, 0.0, d=2)
+        assert not updates(3, -0.0, d=2)
+        # a mature counter with every delta_bar zero ticks and leaves the estimate
+        state = NodeState(theta_hat=np.array([0.3]), counter=2, mu=0.1)
+        nxt, eff = node_step(state, 9, msg(1, 0.0, [5.0]), [msg(2, -0.0, [1.0])], HarmonicSchedule(c=0.7), d=2)
+        assert not eff and nxt.counter == 3
+        assert nxt.theta_hat.tobytes() == state.theta_hat.tobytes()
 
     def test_tick_when_immature(self):
-        assert update_counter(0, 0.0, d=2) == 1
-        # a nonzero sum cannot occur with counter < d (gate zeroes it),
-        # but the reset condition still requires maturity on its own
-        assert update_counter(1, 1.0, d=2) == 2
+        assert not updates(0, 0.0, d=2)
+        assert not updates(1, 1.0, d=2)
 
     def test_tiny_nonzero_sum_resets(self):
-        assert update_counter(3, 1e-300, d=2) == 0
+        # only an exact zero blocks: a tiny determinant is real excitation
+        assert updates(3, 1e-300, d=2)
 
 
 class TestNodeStep:
@@ -200,6 +210,20 @@ class TestNodeStep:
         assert nxt.theta_hat[0] == pytest.approx(2.5 / 2.1, rel=1e-12)
         assert nxt.counter == 0
 
+    def test_inbox_sorted_by_sensor(self):
+        # the update sums over the closed neighbourhood in ascending sensor
+        # order whatever order the messages arrive in; with these values the
+        # order shows in the last bit
+        state = NodeState(theta_hat=np.array([-1.2459109472530652]), counter=2, mu=0.1)
+        m1 = msg(1, -0.7322673547034516, [-0.5442589828573099])
+        m2 = msg(2, -0.31630015636915454, [0.4116305363741328])
+        m3 = msg(3, 1.0425133694426776, [-0.12853466294403426])
+        want = update_estimate(state, gate([m1, m2, m3], open=True), 0.5).tobytes()
+        assert update_estimate(state, gate([m3, m2, m1], open=True), 0.5).tobytes() != want
+        for received in ([m2, m1], [m1, m2]):
+            nxt, eff = node_step(state, 0, m3, received, TableSchedule(values=(0.5,)), d=2)
+            assert eff and nxt.theta_hat.tobytes() == want
+
 
 class TestState:
     def test_validation(self):
@@ -209,11 +233,3 @@ class TestState:
             NodeState(theta_hat=np.zeros(2), counter=-1, mu=0.1)
         with pytest.raises(ValueError):
             NodeState(theta_hat=np.array([np.nan]), counter=0, mu=0.1)
-
-    def test_gated_sum(self):
-        gated = (
-            GatedMessage(ybar=np.zeros(1), delta=2.0, sensor=1),
-            GatedMessage(ybar=np.zeros(1), delta=-1.0, sensor=2),
-        )
-        assert gated_sum(gated) == 5.0
-        assert gated_sum(()) == 0.0

@@ -7,8 +7,9 @@ from dremnet.excitation import (
     local_pe_check,
     single_sensor_pe,
 )
-from dremnet.harness import delta_traces
 from dremnet.topology import StaticGraph, ring
+
+from test_harness import delta_traces
 
 
 def oracle_min_window(neighborhood_sums, H, start):

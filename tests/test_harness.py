@@ -6,16 +6,17 @@ import re
 import numpy as np
 import pytest
 
-from dremnet import harness
+from dremnet import estimator, harness
+from dremnet.analysis import mean_recursion
 from dremnet.estimator import HarmonicSchedule, TableSchedule
-from dremnet.excitation import local_pe_check
+from dremnet.excitation import DeltaTrace, local_pe_check
 from dremnet.harness import (
     CHUNK_RUNS,
     Scenario,
     ScenarioError,
+    _chunk_sums,
     builtin_scenarios,
     check_scenario,
-    delta_traces,
     export_csv,
     load_scenario,
     run_monte_carlo,
@@ -59,6 +60,11 @@ def tiny_scenario(**overrides) -> Scenario:
     return Scenario(**base)
 
 
+def delta_traces(s: Scenario, horizon=None) -> DeltaTrace:
+    """Scalar-regressor traces delta_bar_i(k) for steps 0..horizon-1."""
+    return DeltaTrace(values=step_tables(s, horizon).delta, d=s.d)
+
+
 def consumption_trail(s: Scenario, run) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per sensor, every (source sensor, measurement time) pair its effective updates consumed.
 
@@ -70,7 +76,7 @@ def consumption_trail(s: Scenario, run) -> tuple[tuple[tuple[int, int], ...], ..
     return tuple(
         tuple(
             (j, t)
-            for k in run.effective_steps(i).tolist()
+            for k in np.flatnonzero(run.effective[i - 1]).tolist()
             for j in closed_in_neighborhood(s.graph, i, k)
             if delta[j - 1, k] != 0.0
             for t in range(k - s.d + 1, k + 1)
@@ -80,13 +86,26 @@ def consumption_trail(s: Scenario, run) -> tuple[tuple[tuple[int, int], ...], ..
 
 
 def single_use_problems(s: Scenario, run) -> list[str]:
-    """Measurements consumed twice by one sensor, and effective updates closer than d+1 steps."""
+    """Measurements consumed twice by one sensor, effective updates closer than
+    d+1 steps, and estimates that moved at a step not flagged effective.
+
+    The trail trusts the effective flags, so the last check ties them to the
+    trajectory. It runs one way only: an effective update may leave the
+    estimate bit for bit unchanged when its gated sum is tiny.
+    """
     problems = []
     for i, trail in enumerate(consumption_trail(s, run), start=1):
+        eff = run.effective[i - 1]
         if len(trail) != len(set(trail)):
             problems.append(f"sensor {i} consumed a measurement twice")
-        if np.any(np.diff(run.effective_steps(i)) < s.d + 1):
+        if np.any(np.diff(np.flatnonzero(eff)) < s.d + 1):
             problems.append(f"sensor {i} updated twice within {s.d + 1} steps")
+        th = run.theta_hat[i - 1]
+        unflagged = np.flatnonzero((th[1:] != th[:-1]).any(axis=1) & ~eff)
+        if unflagged.size:
+            problems.append(
+                f"sensor {i} moved at {unflagged.size} steps not flagged effective (first k = {unflagged[0]})"
+            )
     return problems
 
 
@@ -522,6 +541,34 @@ class TestRunSingle:
         assert all(trail)
         assert any(j != i for i, c in enumerate(trail, start=1) for (j, _) in c)
         assert single_use_problems(s, res) == []
+
+
+# estimator.updates with the counter threshold moved from d to d - 2 (on
+# d = 2 the counter then never holds a sensor back), and with no counter
+RULES = {
+    "d_minus_2": lambda counter, full_sum, d: counter >= d - 2 and full_sum != 0.0,
+    "no_counter": lambda counter, full_sum, d: full_sum != 0.0,
+}
+
+
+class TestCounterRule:
+    @pytest.mark.parametrize("rule", RULES)
+    @pytest.mark.parametrize("name", ["sec5", "periodic_d3"])
+    def test_patched_rule_reaches_every_engine(self, name, rule, request, monkeypatch):
+        # one patch of the rule moves the protocol, the step tables, the chunk
+        # engine and the oracle together, and single use is then lost
+        s = request.getfixturevalue(name)
+        monkeypatch.setattr(estimator, "updates", RULES[rule])
+        K = 300
+        res = run_single(s, seed=42, horizon=K)
+        tables = step_tables(s, K)
+        assert np.array_equal(res.effective, tables.effective)
+        assert np.array_equal(res.counters, tables.counters)
+        _, sum_tilde, _ = _chunk_sums((s, tables, (42,)))
+        assert sum_tilde.tobytes() == (res.theta_hat - s.theta).tobytes()
+        quiet = run_single(dataclasses.replace(s, variances=(0.0,) * s.n), seed=1, horizon=K)
+        np.testing.assert_allclose(quiet.theta_hat - s.theta, mean_recursion(s, K), atol=1e-12)
+        assert single_use_problems(s, res)
 
 
 class TestMonteCarlo:

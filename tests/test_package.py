@@ -1,4 +1,7 @@
 import importlib
+import importlib.util
+import inspect
+from pathlib import Path
 
 import pytest
 
@@ -32,3 +35,19 @@ def test_package_surface_is_the_cli_entry_points():
         obj = getattr(dremnet, name)
         home = importlib.import_module(obj.__module__)
         assert getattr(home, name) is obj
+
+
+def test_benchmark_trace_targets_resolve():
+    # the benchmark times these functions by name; a rename or deletion
+    # must fail here rather than in a benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "trace_calls.py"
+    spec = importlib.util.spec_from_file_location("trace_calls", path)
+    trace_calls = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_calls)
+    assert trace_calls.TARGETS
+    missing = [
+        f"{mod}.{fn}"
+        for mod, fn in trace_calls.TARGETS
+        if not inspect.isfunction(getattr(importlib.import_module(f"dremnet.{mod}"), fn, None))
+    ]
+    assert missing == []

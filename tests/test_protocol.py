@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dremnet.drem import DremMessage, _adj_apply, extend
-from dremnet.estimator import NodeState, gate, update_estimate
+from dremnet.estimator import NodeState, gate, update_estimate, updates
 from dremnet.harness import _chunk_sums, run_single, step_tables
 
 
@@ -57,11 +57,12 @@ def test_update_estimate_matches_array_form(d):
                 DremMessage(ybar=ybar[j], delta_bar=float(delta[j]), sensor=int(sensors[j]))
                 for j in range(width)
             ]
-            gated = gate(inbox, state.counter, d)
+            open_ = updates(state.counter, float(delta @ delta), d)
+            gated = gate(inbox, open_)
             alpha = float(rng.uniform(0.01, 1.0))
             got = update_estimate(state, gated, alpha)
             assert got.tobytes() == ref_update_estimate(state, gated, alpha).tobytes()
-            closed += state.counter < d
+            closed += not open_
             updated += any(m.delta != 0.0 for m in gated)
     assert closed and updated  # both branches ran
 
