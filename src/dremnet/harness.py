@@ -361,13 +361,24 @@ def _horizon(s: Scenario, horizon: Optional[int]) -> int:
     return K
 
 
+def _overflow(sensor: int, k: int) -> ValueError:
+    """The refusal of both engines when a measurement or message leaves float64 range."""
+    return ValueError(
+        f"sensor {sensor}, step {k}: the measurement or DREM message overflows float64; "
+        "scale the regressors down"
+    )
+
+
 def step_tables(s: Scenario, horizon: Optional[int] = None) -> StepTables:
-    """Precompute every noise-independent quantity for steps 0..horizon-1."""
+    """Precompute every noise-independent quantity for steps 0..horizon-1.
+
+    Raises ValueError if a noise-free measurement theta' phi_i(k), a squared
+    delta_bar_i(k) or a noise-free ybar_i(k) is not finite, naming the first
+    (step, sensor) in step order.
+    """
     K = _horizon(s, horizon)
     n, d = s.n, s.d
     phi = np.array([regressor_table(g, K) for g in s.generators])
-    # vecdot shares the np.dot kernel of measure(); a channel loop rounds differently
-    y_det = np.vecdot(phi, s.theta) + 0.0
     delta = np.zeros((n, K))
     adj = np.zeros((n, K, d, d))
     for i in range(n):
@@ -375,6 +386,18 @@ def step_tables(s: Scenario, horizon: Optional[int] = None) -> StepTables:
         windows = [extend(rev[j : j + d]) for j in range(K - d, -1, -1)]
         if windows:
             delta[i, d - 1 :], adj[i, d - 1 :] = zip(*windows)
+    ybar = np.zeros((n, K, d))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        # vecdot shares the np.dot kernel of measure(); a channel loop rounds differently
+        y_det = np.vecdot(phi, s.theta) + 0.0
+        # the noise-free messages, ybar(k) = sum over r of adj(k)[:, r] y(k - r);
+        # zero in the warm-up steps, where adj is zero
+        for r in range(min(d, K)):
+            ybar[:, r:] += adj[:, r:, :, r] * y_det[:, : K - r, None]
+        finite = np.isfinite(y_det) & np.isfinite(delta * delta) & np.isfinite(ybar).all(axis=2)
+    if not finite.all():
+        k, i = np.argwhere(~finite.T)[0]  # the first that run_single meets
+        raise _overflow(int(i) + 1, int(k))
     alpha = np.array([step_size(s.schedule, k) for k in range(K)])
     members = neighborhood_index(s.graph, K)
     dlt = neighborhood_values(members, delta)
@@ -440,7 +463,8 @@ def run_single(s: Scenario, seed: int, horizon: Optional[int] = None) -> RunResu
 
     Every sensor produces its message for step k, the full round is
     delivered along the step-k edges, and every sensor consumes its closed
-    neighborhood's messages in the same k.
+    neighborhood's messages in the same k. A measurement, squared delta_bar
+    or ybar that is not finite raises the ValueError of ``step_tables``.
     """
     K = _horizon(s, horizon)
     n, d = s.n, s.d
@@ -455,8 +479,9 @@ def run_single(s: Scenario, seed: int, horizon: Optional[int] = None) -> RunResu
     eff: list[list[bool]] = [[] for _ in range(n)]
     payload_total = 0
     phis = [regressor_table(g, K) for g in s.generators]
-    # vecdot shares the np.dot kernel of measure(), as in step_tables
-    y_dets = [(np.vecdot(p, s.theta) + 0.0).tolist() for p in phis]
+    with np.errstate(over="ignore"):  # an overflow is refused per message
+        # vecdot shares the np.dot kernel of measure(), as in step_tables
+        y_dets = [(np.vecdot(p, s.theta) + 0.0).tolist() for p in phis]
     phi_hist: list[list[np.ndarray]] = [[] for _ in range(n)]
     y_hist: list[list[float]] = [[] for _ in range(n)]
     # edge set -> per sensor (in-neighbours, out-degree), queried once per edge set
@@ -477,6 +502,12 @@ def run_single(s: Scenario, seed: int, horizon: Optional[int] = None) -> RunResu
             phi_hist[i - 1] = [p, *phi_hist[i - 1][: d - 1]]  # newest first, at most d
             y_hist[i - 1] = [y, *y_hist[i - 1][: d - 1]]
             msg = drem_transform(i, phi_hist[i - 1], y_hist[i - 1])
+            if not (
+                math.isfinite(y)
+                and math.isfinite(msg.delta_bar * msg.delta_bar)
+                and all(map(math.isfinite, msg.ybar.tolist()))
+            ):
+                raise _overflow(i, k)
             assert msg.payload_size == d + 1, "message payload must be d+1 reals"
             payload_total += msg.payload_size * hood[i - 1][1]
             msgs[i] = msg
@@ -521,52 +552,77 @@ def _chunk_sums(args: tuple[Scenario, StepTables, tuple[int, ...]]) -> tuple[np.
     """Vectorized engine: simulate one chunk of runs, return its moment sums.
 
     Replays, elementwise across runs and sensors, the exact float operations
-    of run_single: neighbours in ascending order, the same update
-    expression, and sensors that do not update left untouched. Only
-    steps where some sensor updates are visited; the per-step sums of the
-    other steps repeat the last visited ones. Returns (sum_err, sum_tilde,
-    m2): the chunk's sums of the error norm and of theta_hat - theta, and
-    the sum of squared deviations of theta_hat - theta from the chunk mean.
+    of run_single: neighbours in ascending order and the same update
+    expression. Sensors interact only through their noise-free gating and
+    the messages they broadcast, never through their estimates, so pass e
+    applies the e-th effective update of every sensor at once, each at its
+    own step; a sensor with fewer updates is held. The estimates after each
+    pass are reduced over the runs in blocks of passes, and a sensor's sums
+    at step k are those after its last update before k. Returns (sum_err,
+    sum_tilde, m2): the chunk's sums of the error norm and of
+    theta_hat - theta, and the sum of squared deviations of
+    theta_hat - theta from the chunk mean.
     """
     s, tables, seeds = args
     n, d, m, K = s.n, s.d, len(seeds), tables.horizon
-    y = np.empty((n, K, m))
+    # run-major, so each noise block is one contiguous write
+    y = np.empty((n, m, K))
     for r, seed in enumerate(seeds):
         nm = NoiseModel(variances=s.variances, seed=seed)
         for j in range(1, n + 1):
-            y[j - 1, :, r] = tables.y_det[j - 1] + noise_block(nm, j, K)
-    idx = tables.members
-    gated = neighborhood_values(idx, tables.delta)
+            y[j - 1, r] = tables.y_det[j - 1] + noise_block(nm, j, K)
+    # per sensor, the steps of its effective updates in order. After its
+    # last update a sensor points at the last step with zero deltas: those
+    # passes leave it as it was, and its sums never read them anyway
+    eff = tables.effective
+    counts = eff.sum(axis=1)
+    passes = int(counts.max(initial=0))
+    steps = np.full((n, passes), K - 1, dtype=np.intp)
+    for i in range(n):
+        steps[i, : counts[i]] = np.flatnonzero(eff[i])
+    held = (np.arange(passes) >= counts[:, None])[:, :, None]
+    rows = np.arange(n)[:, None]
+    members = tables.members[rows, steps]  # (n, passes, width)
+    deltas = np.where(held, 0.0, neighborhood_values(tables.members, tables.delta)[rows, steps])
+    alpha = tables.alpha[steps][:, :, None, None]
+    den = np.add(np.array(s.mu)[:, None], tables.gated_sum[rows, steps])[:, :, None, None]
+    adj = tables.adj[members, steps[:, :, None]]  # (n, passes, width, d, d)
     th = np.repeat(s.theta_hat0[:, None, :], m, axis=1)  # (n, m, d)
-    sum_err = np.zeros((n, K + 1))
-    sum_tilde = np.zeros((n, K + 1, d))
-    m2 = np.zeros((n, K + 1, d))
-    changed = np.zeros(K + 1, dtype=bool)
-
-    def accumulate(k: int) -> None:
-        tilde = th - s.theta[None, None, :]
-        tot = tilde.sum(axis=1)
-        dev = tilde - (tot / m)[:, None, :]
-        sum_tilde[:, k] += tot
-        m2[:, k] += (dev * dev).sum(axis=1)
-        sum_err[:, k] += _channel_norm(tilde).sum(axis=1)
-        changed[k] = True
-
-    accumulate(0)
-    for k in np.flatnonzero(tables.effective.any(axis=0)):
-        srow = tables.gated_sum[:, k]
-        ybar = np.zeros((n, m, d))
-        for r in range(d):
-            ybar += y[:, k - r, :, None] * tables.adj[:, k, None, :, r]
-        num = np.zeros((n, m, d))
-        for p in range(idx.shape[2]):
-            dlt = gated[:, k, p, None, None]
-            num += dlt * (ybar[idx[:, k, p]] - dlt * th)
-        new = th + (tables.alpha[k] * num) / np.add(s.mu, srow)[:, None, None]
-        th = np.where(tables.effective[:, k, None, None], new, th)
-        accumulate(k + 1)
-    fill = np.maximum.accumulate(np.where(changed, np.arange(K + 1), 0))
-    return sum_err[:, fill], sum_tilde[:, fill], m2[:, fill]
+    # snapshots[t] holds the estimates after t passes; a block of them is
+    # reduced at a time, which bounds the extra memory to block * n * m * d
+    block = 8
+    snaps = np.empty((min(block, passes + 1), n, m, d))
+    ev_err = np.empty((passes + 1, n))  # the sums after t passes
+    ev_tilde = np.empty((passes + 1, n, d))
+    ev_m2 = np.empty((passes + 1, n, d))
+    for t in range(passes + 1):
+        if t > 0:
+            e = t - 1
+            ks = steps[:, e, None]
+            ybar = np.zeros((n, members.shape[2], m, d))
+            for r in range(d):
+                ybar += y[members[:, e], :, ks - r, None] * adj[:, e, :, None, :, r]
+            num = np.zeros((n, m, d))
+            for p in range(members.shape[2]):
+                dlt = deltas[:, e, p, None, None]
+                num += dlt * (ybar[:, p] - dlt * th)
+            th = th + (alpha[:, e] * num) / den[:, e]
+        snaps[t % block] = th
+        if t % block == block - 1 or t == passes:
+            # in place, turning the snapshots into tilde, deviations, squares;
+            # each sum starts from +0.0, so an all -0.0 sum reads +0.0
+            first = t - t % block
+            part = snaps[: t - first + 1]
+            part -= s.theta
+            tot = part.sum(axis=2)
+            ev_tilde[first : t + 1] = 0.0 + tot
+            ev_err[first : t + 1] = 0.0 + _channel_norm(part).sum(axis=2)
+            part -= (tot / m)[:, :, None, :]
+            part *= part
+            ev_m2[first : t + 1] = 0.0 + part.sum(axis=2)
+    # each sensor's count of effective updates before step k picks its snapshot
+    done = np.concatenate([np.zeros((n, 1), dtype=np.intp), np.cumsum(eff, axis=1)], axis=1)
+    return ev_err[done, rows], ev_tilde[done, rows], ev_m2[done, rows]
 
 
 def run_monte_carlo(

@@ -203,7 +203,9 @@ class NoiseModel:
     """Per-sensor Gaussian noise variances plus the run seed.
 
     Caches, ignored by ==, hash and repr: each sensor's Philox key, derived on
-    first use, and the one generator that :func:`sample_noise` reuses.
+    first use, and the one generator that :func:`sample_noise` and
+    :func:`noise_block` share, reset in full before each use. The generator
+    makes a model unsafe to draw from in two threads at once.
     """
 
     variances: tuple[float, ...]
@@ -231,6 +233,24 @@ def _check_sensor(model: NoiseModel, sensor: int) -> None:
         raise ValueError(f"sensor id {sensor} outside 1..{len(model.variances)}")
 
 
+def _stream(model: NoiseModel, sensor: int, k: int) -> np.random.Philox:
+    """The model's one generator, reset in full (key, counter, buffer) to block k of sensor's stream.
+
+    A Philox stream is a pure function of (key, counter), so a reset
+    generator gives the words of a fresh one; resetting saves building one
+    per stream, but the generator must not be shared between threads.
+    """
+    if model._philox is None:
+        object.__setattr__(model, "_philox", np.random.Philox(key=0))
+    raw = model._philox
+    raw.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [k, 0, 0, 0], "key": _philox_key(model, sensor)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return raw
+
+
 def noise_block(model: NoiseModel, sensor: int, steps: int) -> np.ndarray:
     """All draws v(0), ..., v(steps-1) for one sensor in a single pass.
 
@@ -240,8 +260,7 @@ def noise_block(model: NoiseModel, sensor: int, steps: int) -> np.ndarray:
     _check_sensor(model, sensor)
     if steps <= 0:
         return np.zeros(0)
-    raw = np.random.Philox(key=np.array(_philox_key(model, sensor), dtype=np.uint64))
-    words = raw.random_raw(4 * steps).reshape(steps, 4)
+    words = _stream(model, sensor, 0).random_raw(4 * steps).reshape(steps, 4)
     # Box-Muller on the top 53 bits of two Philox words; u1 is kept in (0, 1]
     # so the log never sees zero
     u1 = ((words[:, 0] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
@@ -253,21 +272,13 @@ def noise_block(model: NoiseModel, sensor: int, steps: int) -> np.ndarray:
 def sample_noise(model: NoiseModel, sensor: int, k: int) -> float:
     """One Gaussian draw v_sensor(k), deterministic in (seed, sensor, k).
 
-    The model's one generator is reset in full (key, counter, buffer) before
-    every draw, so draws may come in any order, but not from two threads.
+    Every draw resets the model's one generator, so draws may come in any
+    order, interleaved with :func:`noise_block`, but not from two threads.
     """
     _check_sensor(model, sensor)
     if k < 0:
         raise ValueError(f"time step must be >= 0, got {k}")
-    if model._philox is None:
-        object.__setattr__(model, "_philox", np.random.Philox(key=0))
-    raw = model._philox
-    raw.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [k, 0, 0, 0], "key": _philox_key(model, sensor)},
-        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
-    w0, w1 = raw.random_raw(2).tolist()
+    w0, w1 = _stream(model, sensor, k).random_raw(2).tolist()
     # noise_block's Box-Muller on floats: the int-to-float steps are exact, and
     # log and cos stay numpy's so that they round as there
     u1 = (float(w0 >> 11) + 1.0) * _INV_2_53

@@ -57,6 +57,34 @@ class TestMc:
         assert f"error: workers must be at least 1, got {workers}" in capsys.readouterr().err
 
 
+class TestOverflow:
+    @pytest.mark.parametrize("scale", ["1e160", "1e80"])
+    @pytest.mark.parametrize("command", [["run"], ["mc", "--runs", "3"]])
+    def test_overflowing_window_refused(self, tmp_path, capsys, command, scale):
+        # at d = 2 a window of 1e160 entries has a determinant past float64
+        # range, and one of 1e80 entries a squared determinant past it;
+        # either would make the estimates NaN
+        cfg = {
+            "model": {
+                "theta": [1.0, 2.0],
+                "generators": [
+                    {"kind": "periodic-list", "vectors": [["X", 0.0], [0.0, "X"]]},
+                    {"kind": "periodic-list", "vectors": [[1.0, 0.0], [0.0, 1.0]]},
+                ],
+                "noise": [1.0, 1.0],
+            },
+            "graph": {"kind": "ring", "n": 2},
+            "estimator": {"mu": [0.1, 0.1], "step": {"kind": "harmonic", "c": 0.7}},
+            "run": {"horizon": 20},
+        }
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(cfg).replace('"X"', scale))
+        assert main([*command, "--scenario", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: sensor 1, step 1: the measurement or DREM message overflows float64")
+        assert "mean error" not in captured.out
+
+
 class TestCheckPe:
     def test_passing_scenario(self, capsys):
         assert main(["check-pe", "--steps", "120"]) == 0

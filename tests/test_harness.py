@@ -462,6 +462,47 @@ class TestStepTables:
         assert np.all(gaps >= sec5.d + 1)
         assert len(steps4) == 166
 
+    @pytest.mark.parametrize("name", ["periodic_d3", "table_d5"])
+    def test_short_horizons_are_prefixes(self, name, request):
+        # horizons shorter than one window included, where only warm-up steps exist
+        s = request.getfixturevalue(name)
+        full = step_tables(s)
+        for K in range(s.d + 2):
+            t = step_tables(s, K)
+            for field in ("y_det", "delta", "adj", "effective"):
+                assert getattr(t, field).tobytes() == getattr(full, field)[:, :K].tobytes()
+
+    @pytest.mark.parametrize(
+        "vectors, theta, where",
+        [
+            (((1e160, 0.0), (0.0, 1e160)), (1.0, 2.0), "sensor 2, step 1:"),  # delta_bar
+            (((1e80, 0.0), (0.0, 1e80)), (1.0, 2.0), "sensor 2, step 1:"),  # delta_bar^2
+            (((1e300, 0.0),), (1e10, 2.0), "sensor 2, step 0:"),  # theta' phi
+            # a singular window: delta_bar is 0, but ybar_2 = -inf + inf
+            (((1e160, 0.0),), (1.0, 2.0), "sensor 2, step 1:"),
+        ],
+        ids=["delta", "delta-squared", "measurement", "ybar"],
+    )
+    def test_overflow_refused_as_run_single_refuses(self, vectors, theta, where):
+        s = Scenario(
+            n=2,
+            d=2,
+            theta=np.array(theta),
+            generators=(PeriodicList(vectors=((1.0, 0.0), (0.0, 1.0))), PeriodicList(vectors=vectors)),
+            variances=(1.0, 1.0),
+            graph=ring(2),
+            schedule=HarmonicSchedule(c=0.7),
+            mu=(0.1, 0.1),
+            theta_hat0=np.zeros((2, 2)),
+            horizon=12,
+        )
+        with pytest.raises(ValueError, match="overflows float64") as tables_error:
+            step_tables(s)
+        with pytest.raises(ValueError, match="overflows float64") as run_error:
+            run_single(s, seed=3)
+        assert str(tables_error.value).startswith(where)
+        assert str(run_error.value) == str(tables_error.value)
+
 
 class TestRunSingle:
     def test_noise_free_finals_frozen(self, sec5_noise_free):

@@ -241,9 +241,18 @@ class TestNoise:
         a = NoiseModel(variances=(1.0, 0.5, 2.0), seed=8)
         b = NoiseModel(variances=(1.0, 0.5, 2.0), seed=8)
         for j, key in enumerate(shuffled):
-            # sensors interleave, and two models with one seed take turns
-            assert sample_noise(a if j % 2 else b, *key) == reference[key]
+            # sensors interleave, two models with one seed take turns, and
+            # blocks that stop partway through a Philox block come between draws
+            nm = a if j % 2 else b
+            assert sample_noise(nm, *key) == reference[key]
+            if j % 7 == 0:
+                sensor, steps = key[0], key[1] % 13 + 1
+                fresh = noise_block(NoiseModel(variances=(1.0, 0.5, 2.0), seed=8), sensor, steps)
+                assert noise_block(nm, sensor, steps).tobytes() == fresh.tobytes()
         assert [sample_noise(a, *key) for key in keys] == [reference[key] for key in keys]
+        for sensor in (3, 1, 2):
+            want = np.array([reference[sensor, k] for k in range(300)])
+            assert noise_block(b, sensor, 300).tobytes() == want.tobytes()
 
     def test_pickle_after_draws(self):
         nm = NoiseModel(variances=(1.0, 3.0), seed=41)
@@ -251,8 +260,13 @@ class TestNoise:
         noise_block(nm, 2, 5)
         clone = pickle.loads(pickle.dumps(nm))
         assert clone == nm and hash(clone) == hash(nm)
-        after = [sample_noise(clone, sensor, k) for sensor in (1, 2) for k in range(20)]
-        assert after == before
+        for drawn in (clone, nm):
+            after = []
+            for sensor in (1, 2):
+                fresh = noise_block(NoiseModel(variances=(1.0, 3.0), seed=41), 3 - sensor, 7)
+                assert noise_block(drawn, 3 - sensor, 7).tobytes() == fresh.tobytes()
+                after += [sample_noise(drawn, sensor, k) for k in range(20)]
+            assert after == before
         assert noise_block(clone, 1, 20).tobytes() == np.array(before[:20]).tobytes()
 
     def test_streams_differ_across_sensors_and_seeds(self):

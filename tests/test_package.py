@@ -37,13 +37,18 @@ def test_package_surface_is_the_cli_entry_points():
         assert getattr(home, name) is obj
 
 
+def _bench_module(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_trace_targets_resolve():
     # the benchmark times these functions by name; a rename or deletion
     # must fail here rather than in a benchmark run
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "trace_calls.py"
-    spec = importlib.util.spec_from_file_location("trace_calls", path)
-    trace_calls = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(trace_calls)
+    trace_calls = _bench_module("trace_calls")
     assert trace_calls.TARGETS
     missing = [
         f"{mod}.{fn}"
@@ -51,3 +56,21 @@ def test_benchmark_trace_targets_resolve():
         if not inspect.isfunction(getattr(importlib.import_module(f"dremnet.{mod}"), fn, None))
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize("workload", ["mc_sec5", "oracle_sec5", "run_sec5"])
+def test_benchmark_call_counts_hold(workload, sec5, tmp_path):
+    # a traced benchmark run fails when an operation's call or draw counts
+    # leave the ones its size implies; one traced operation shows it here first
+    trace_calls, workloads = _bench_module("trace_calls"), _bench_module("workloads")
+    w = workloads.WORKLOADS[workload](sec5, 1, tmp_path)
+    tracer = trace_calls.Tracer()
+    tracer.install()
+    try:
+        w.op(0)
+    finally:
+        tracer.uninstall()
+    calls = {f"{name}.calls": st[0] for name, st in tracer.snapshot().items()}
+    calls[trace_calls.NOISE_DRAWS] = tracer.draws
+    expected = w.expected_calls()
+    assert {key: calls[key] for key in expected} == expected

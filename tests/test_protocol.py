@@ -2,17 +2,20 @@
 
 ``update_estimate`` and the DREM mixing step accumulate on Python floats.
 The references below are the numpy forms they replaced; every result must
-match them byte for byte, signed zeros included. The m = 1 chunk engine is
-checked against ``run_single`` on scenarios that reach the d = 2, the d = 3
-cofactor and the d = 5 elimination paths.
+match them byte for byte, signed zeros included. The event-indexed chunk
+engine is checked against the step-indexed loop it replaced, and the m = 1
+chunk engine against ``run_single``, on scenarios that reach the d = 1, the
+d = 2, the d = 3 cofactor and the d = 5 elimination paths.
 """
 
 import numpy as np
 import pytest
 
 from dremnet.drem import DremMessage, _adj_apply, extend
-from dremnet.estimator import NodeState, gate, update_estimate, updates
-from dremnet.harness import _chunk_sums, run_single, step_tables
+from dremnet.estimator import HarmonicSchedule, NodeState, gate, update_estimate, updates
+from dremnet.harness import Scenario, _channel_norm, _chunk_sums, run_single, step_tables
+from dremnet.model import Constant, NoiseModel, PeriodicList, RecursiveCosine, noise_block
+from dremnet.topology import StaticGraph, neighborhood_values
 
 
 def ref_update_estimate(state, gated, alpha):
@@ -32,6 +35,72 @@ def ref_adj_apply(adj, stack):
     for r in range(adj.shape[1]):
         out += adj[:, r] * stack[r]
     return out
+
+
+def ref_chunk_sums(s, tables, seeds):
+    # visits every step at which some sensor updates and reduces the runs
+    # after each one; steps it skips repeat the last visited sums
+    n, d, m, K = s.n, s.d, len(seeds), tables.horizon
+    y = np.empty((n, K, m))
+    for r, seed in enumerate(seeds):
+        nm = NoiseModel(variances=s.variances, seed=seed)
+        for j in range(1, n + 1):
+            y[j - 1, :, r] = tables.y_det[j - 1] + noise_block(nm, j, K)
+    idx = tables.members
+    gated = neighborhood_values(idx, tables.delta)
+    th = np.repeat(s.theta_hat0[:, None, :], m, axis=1)
+    sum_err = np.zeros((n, K + 1))
+    sum_tilde = np.zeros((n, K + 1, d))
+    m2 = np.zeros((n, K + 1, d))
+    changed = np.zeros(K + 1, dtype=bool)
+
+    def accumulate(k):
+        tilde = th - s.theta[None, None, :]
+        tot = tilde.sum(axis=1)
+        dev = tilde - (tot / m)[:, None, :]
+        sum_tilde[:, k] += tot
+        m2[:, k] += (dev * dev).sum(axis=1)
+        sum_err[:, k] += _channel_norm(tilde).sum(axis=1)
+        changed[k] = True
+
+    accumulate(0)
+    for k in np.flatnonzero(tables.effective.any(axis=0)):
+        srow = tables.gated_sum[:, k]
+        ybar = np.zeros((n, m, d))
+        for r in range(d):
+            ybar += y[:, k - r, :, None] * tables.adj[:, k, None, :, r]
+        num = np.zeros((n, m, d))
+        for p in range(idx.shape[2]):
+            dlt = gated[:, k, p, None, None]
+            num += dlt * (ybar[idx[:, k, p]] - dlt * th)
+        new = th + (tables.alpha[k] * num) / np.add(s.mu, srow)[:, None, None]
+        th = np.where(tables.effective[:, k, None, None], new, th)
+        accumulate(k + 1)
+    fill = np.maximum.accumulate(np.where(changed, np.arange(K + 1), 0))
+    return sum_err[:, fill], sum_tilde[:, fill], m2[:, fill]
+
+
+@pytest.fixture(scope="module")
+def idle_d1():
+    # d = 1: sensor 1's regressor vanishes every third step, sensor 2 hears
+    # sensor 1, and sensor 3 has a zero regressor and no in-neighbours, so it
+    # never updates
+    return Scenario(
+        n=3,
+        d=1,
+        theta=np.array([1.5]),
+        generators=(
+            PeriodicList(vectors=((1.0,), (-2.0,), (0.0,))),
+            RecursiveCosine(base=(0.5,), slot=0, initial=0.5, angle_step=0.7),
+            Constant(vector=(0.0,)),
+        ),
+        variances=(1.0, 0.5, 2.0),
+        graph=StaticGraph(n=3, edges=((1, 2),)),
+        schedule=HarmonicSchedule(c=0.8),
+        mu=(0.1, 0.2, 0.3),
+        theta_hat0=np.array([[0.5], [-1.0], [2.0]]),
+        horizon=60,
+    )
 
 
 def signed_zeros(rng, x, p_zero=0.25, p_neg_zero=0.15):
@@ -91,3 +160,25 @@ def test_single_run_equals_one_run_chunk(name, request):
     # the run covers the protocol: updates, idle steps and a closed gate
     assert res.effective.any() and not res.effective.all()
     assert (res.counters[:, :K] < scenario.d).any()
+
+
+@pytest.mark.parametrize("name", ["sec5", "periodic_d3", "table_d5", "idle_d1"])
+def test_event_kernel_equals_step_loop(name, request):
+    scenario = request.getfixturevalue(name)
+    full = step_tables(scenario)
+    updates_per_sensor = full.effective.sum(axis=1)
+    if name == "sec5":
+        # sensor 4 runs one step out of phase, so the step loop visits
+        # nearly twice as many steps as the kernel makes passes
+        assert updates_per_sensor.max() == 166
+        assert full.effective.any(axis=0).sum() == 323
+    if name == "idle_d1":
+        assert updates_per_sensor.tolist()[2] == 0 and updates_per_sensor.max() > 0
+    for K in sorted({0, 1, scenario.d, scenario.horizon}):
+        tables = step_tables(scenario, K)
+        for m in (1, 3, 256):
+            seeds = tuple(range(900, 900 + m))
+            got = _chunk_sums((scenario, tables, seeds))
+            want = ref_chunk_sums(scenario, tables, seeds)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes(), (K, m)
