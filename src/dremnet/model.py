@@ -236,9 +236,8 @@ def _check_sensor(model: NoiseModel, sensor: int) -> None:
 def _stream(model: NoiseModel, sensor: int, k: int) -> np.random.Philox:
     """The model's one generator, reset in full (key, counter, buffer) to block k of sensor's stream.
 
-    A Philox stream is a pure function of (key, counter), so a reset
-    generator gives the words of a fresh one; resetting saves building one
-    per stream, but the generator must not be shared between threads.
+    A Philox stream is a pure function of (key, counter), so the reset
+    generator gives the words that a fresh one would.
     """
     if model._philox is None:
         object.__setattr__(model, "_philox", np.random.Philox(key=0))
