@@ -556,12 +556,12 @@ def _chunk_sums(args: tuple[Scenario, StepTables, tuple[int, ...]]) -> tuple[np.
     expression. Sensors interact only through their noise-free gating and
     the messages they broadcast, never through their estimates, so pass e
     applies the e-th effective update of every sensor at once, each at its
-    own step; a sensor with fewer updates is held. The estimates after each
-    pass are reduced over the runs in blocks of passes, and a sensor's sums
-    at step k are those after its last update before k. Returns (sum_err,
-    sum_tilde, m2): the chunk's sums of the error norm and of
-    theta_hat - theta, and the sum of squared deviations of
-    theta_hat - theta from the chunk mean.
+    own step; a sensor with fewer updates is held. A pass mixes each message
+    it reads once, however many sensors hear it. The estimates after each
+    pass are reduced over the runs, and a sensor's sums at step k are those
+    after its last update before k. Returns (sum_err, sum_tilde, m2): the
+    chunk's sums of the error norm and of theta_hat - theta, and the sum of
+    squared deviations of theta_hat - theta from the chunk mean.
     """
     s, tables, seeds = args
     n, d, m, K = s.n, s.d, len(seeds), tables.horizon
@@ -582,45 +582,44 @@ def _chunk_sums(args: tuple[Scenario, StepTables, tuple[int, ...]]) -> tuple[np.
         steps[i, : counts[i]] = np.flatnonzero(eff[i])
     held = (np.arange(passes) >= counts[:, None])[:, :, None]
     rows = np.arange(n)[:, None]
-    members = tables.members[rows, steps]  # (n, passes, width)
     deltas = np.where(held, 0.0, neighborhood_values(tables.members, tables.delta)[rows, steps])
     alpha = tables.alpha[steps][:, :, None, None]
     den = np.add(np.array(s.mu)[:, None], tables.gated_sum[rows, steps])[:, :, None, None]
-    adj = tables.adj[members, steps[:, :, None]]  # (n, passes, width, d, d)
+    # pass e mixes each message it reads once: one per distinct (sender, step),
+    # found by sorting (pass, sender, step) keys, and inv[e, i, p] picks sensor
+    # i's member p. Padding reads sensor n's message under a zero delta, as the
+    # step loop did
+    senders = tables.members[rows, steps] % n  # (n, passes, width)
+    keys = (np.arange(passes)[None, :, None] * n + senders) * K + steps[:, :, None]
+    msgs, inv = np.unique(keys.transpose(1, 0, 2), return_inverse=True)
+    bounds = np.searchsorted(msgs, np.arange(passes + 1) * (n * K))
+    inv = inv.reshape(passes, n, senders.shape[2]) - bounds[:-1, None, None]
+    msg_sender, msg_step = msgs // K % n, msgs % K
+    msg_adj = tables.adj[msg_sender, msg_step]
     th = np.repeat(s.theta_hat0[:, None, :], m, axis=1)  # (n, m, d)
-    # snapshots[t] holds the estimates after t passes; a block of them is
-    # reduced at a time, which bounds the extra memory to block * n * m * d
-    block = 8
-    snaps = np.empty((min(block, passes + 1), n, m, d))
     ev_err = np.empty((passes + 1, n))  # the sums after t passes
     ev_tilde = np.empty((passes + 1, n, d))
     ev_m2 = np.empty((passes + 1, n, d))
     for t in range(passes + 1):
         if t > 0:
-            e = t - 1
-            ks = steps[:, e, None]
-            ybar = np.zeros((n, members.shape[2], m, d))
+            e, lo, hi = t - 1, bounds[t - 1], bounds[t]
+            js, ks = msg_sender[lo:hi], msg_step[lo:hi]
+            ybar = np.zeros((hi - lo, m, d))
             for r in range(d):
-                ybar += y[members[:, e], :, ks - r, None] * adj[:, e, :, None, :, r]
+                ybar += y[js, :, ks - r, None] * msg_adj[lo:hi, None, :, r]
             num = np.zeros((n, m, d))
-            for p in range(members.shape[2]):
+            for p in range(inv.shape[2]):
                 dlt = deltas[:, e, p, None, None]
-                num += dlt * (ybar[:, p] - dlt * th)
+                num += dlt * (ybar[inv[e, :, p]] - dlt * th)
             th = th + (alpha[:, e] * num) / den[:, e]
-        snaps[t % block] = th
-        if t % block == block - 1 or t == passes:
-            # in place, turning the snapshots into tilde, deviations, squares;
-            # each sum starts from +0.0, so an all -0.0 sum reads +0.0
-            first = t - t % block
-            part = snaps[: t - first + 1]
-            part -= s.theta
-            tot = part.sum(axis=2)
-            ev_tilde[first : t + 1] = 0.0 + tot
-            ev_err[first : t + 1] = 0.0 + _channel_norm(part).sum(axis=2)
-            part -= (tot / m)[:, :, None, :]
-            part *= part
-            ev_m2[first : t + 1] = 0.0 + part.sum(axis=2)
-    # each sensor's count of effective updates before step k picks its snapshot
+        # each sum starts from +0.0, so an all -0.0 sum reads +0.0
+        tilde = th - s.theta
+        tot = tilde.sum(axis=1)
+        dev = tilde - (tot / m)[:, None, :]
+        ev_tilde[t] = 0.0 + tot
+        ev_m2[t] = 0.0 + (dev * dev).sum(axis=1)
+        ev_err[t] = 0.0 + _channel_norm(tilde).sum(axis=1)
+    # each sensor's count of effective updates before step k picks its sums
     done = np.concatenate([np.zeros((n, 1), dtype=np.intp), np.cumsum(eff, axis=1)], axis=1)
     return ev_err[done, rows], ev_tilde[done, rows], ev_m2[done, rows]
 

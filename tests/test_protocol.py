@@ -103,6 +103,25 @@ def idle_d1():
     )
 
 
+@pytest.fixture(scope="module")
+def in_phase_complete():
+    # every sensor hears every other and all update at the same steps, so a
+    # pass reads each of the n messages of its step from n listeners
+    n = 4
+    return Scenario(
+        n=n,
+        d=2,
+        theta=np.array([1.0, -2.0]),
+        generators=tuple(PeriodicList(vectors=((1.0, 0.5 * i), (0.3, 1.0), (-1.0, 0.7))) for i in range(1, n + 1)),
+        variances=(0.5, 1.0, 1.5, 2.0),
+        graph=StaticGraph(n=n, edges=tuple((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j)),
+        schedule=HarmonicSchedule(c=0.5),
+        mu=(0.1, 0.2, 0.3, 0.4),
+        theta_hat0=np.array([[0.0, 0.0], [1.0, -1.0], [-0.0, 2.0], [3.0, 0.5]]),
+        horizon=40,
+    )
+
+
 def signed_zeros(rng, x, p_zero=0.25, p_neg_zero=0.15):
     x = np.array(x, dtype=float)
     x[rng.random(x.shape) < p_zero] = 0.0
@@ -162,7 +181,7 @@ def test_single_run_equals_one_run_chunk(name, request):
     assert (res.counters[:, :K] < scenario.d).any()
 
 
-@pytest.mark.parametrize("name", ["sec5", "periodic_d3", "table_d5", "idle_d1"])
+@pytest.mark.parametrize("name", ["sec5", "periodic_d3", "table_d5", "idle_d1", "in_phase_complete"])
 def test_event_kernel_equals_step_loop(name, request):
     scenario = request.getfixturevalue(name)
     full = step_tables(scenario)
@@ -174,6 +193,9 @@ def test_event_kernel_equals_step_loop(name, request):
         assert full.effective.any(axis=0).sum() == 323
     if name == "idle_d1":
         assert updates_per_sensor.tolist()[2] == 0 and updates_per_sensor.max() > 0
+    if name == "in_phase_complete":
+        assert (full.effective == full.effective[0]).all() and updates_per_sensor.max() > 1
+        assert full.members.shape[2] == scenario.n
     for K in sorted({0, 1, scenario.d, scenario.horizon}):
         tables = step_tables(scenario, K)
         for m in (1, 3, 256):
