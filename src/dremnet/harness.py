@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
@@ -42,6 +41,7 @@ from .model import (
     PeriodicList,
     RecursiveCosine,
     RegressorGenerator,
+    _noise_models,
     noise_block,
     regressor_table,
     sample_noise,
@@ -567,8 +567,7 @@ def _chunk_sums(args: tuple[Scenario, StepTables, tuple[int, ...]]) -> tuple[np.
     n, d, m, K = s.n, s.d, len(seeds), tables.horizon
     # run-major, so each noise block is one contiguous write
     y = np.empty((n, m, K))
-    for r, seed in enumerate(seeds):
-        nm = NoiseModel(variances=s.variances, seed=seed)
+    for r, nm in enumerate(_noise_models(s.variances, seeds)):
         for j in range(1, n + 1):
             y[j - 1, r] = tables.y_det[j - 1] + noise_block(nm, j, K)
     # per sensor, the steps of its effective updates in order. After its
@@ -651,6 +650,10 @@ def run_monte_carlo(
         for c in range(0, runs, CHUNK_RUNS)
     ]
     if workers > 1 and len(chunks) > 1:
+        # imported only here: the pool loads multiprocessing, which a
+        # one-process call never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             parts = list(pool.map(_chunk_sums, chunks))
     else:

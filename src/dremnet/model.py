@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -37,6 +38,7 @@ __all__ = [
     "measure",
 ]
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
 
@@ -202,16 +204,15 @@ def regressor_table(gen: RegressorGenerator, steps: int) -> np.ndarray:
 class NoiseModel:
     """Per-sensor Gaussian noise variances plus the run seed.
 
-    Caches, ignored by ==, hash and repr: each sensor's Philox key, derived on
-    first use, and the one generator that :func:`sample_noise` and
-    :func:`noise_block` share, reset in full before each use. The generator
-    makes a model unsafe to draw from in two threads at once.
+    Each sensor's Philox key is derived on first use, all n at once, and
+    kept on the instance (ignored by ==, hash and repr). Draws use one
+    generator per thread, reset in full before each use, so one model may
+    be drawn from in several threads at once.
     """
 
     variances: tuple[float, ...]
     seed: int
-    _keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _philox: Optional[np.random.Philox] = field(default=None, init=False, repr=False, compare=False)
+    _keys: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variances", tuple(float(r) for r in self.variances))
@@ -220,12 +221,70 @@ class NoiseModel:
                 raise ValueError(f"noise variance R_{i} must be finite and >= 0, got {r}")
 
 
+def _hash_constants(init: int, mult: int, count: int) -> list[np.uint32]:
+    """init, init*mult, init*mult**2, ... (count + 1 terms, mod 2**32)."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return [np.uint32(c) for c in out]
+
+
+# numpy's SeedSequence mixing constants (numpy/random/bit_generator.pyx).
+# Its hash constant runs through a fixed sequence whatever the data: 16
+# hashes fill and mix a 4-word pool, 4 more draw the two 64-bit state words
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 4)
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+
+
+def _seed_keys(seeds, sensors) -> np.ndarray:
+    """The Philox key of each sensor under each seed, as a (len(seeds), len(sensors), 2) uint64 array.
+
+    Entry [r, c] equals ``np.random.SeedSequence((seeds[r] & (2**64 - 1),
+    sensors[c])).generate_state(2, np.uint64)`` bit for bit, computed for
+    all pairs at once in wrapping uint32 arithmetic. Sensor ids are below
+    2**32. A seed below 2**32 is one entropy word and a larger one two, so
+    the entropy is 2 or 3 words, zero-padded to the 4-word pool.
+    """
+    words = [seed & _MASK64 for seed in seeds]
+    lo = np.array([w & _MASK32 for w in words], dtype=np.uint32)[:, None]
+    hi = np.array([w >> 32 for w in words], dtype=np.uint32)[:, None]
+    sensor = np.array(sensors, dtype=np.uint32)
+    zero = np.zeros((len(words), len(sensor)), dtype=np.uint32)
+    entropy = [lo + zero, np.where(hi > 0, hi, sensor), np.where(hi > 0, sensor, zero), zero]
+
+    def hashed(value: np.ndarray, consts: list, t: int) -> np.ndarray:
+        value = (value ^ consts[t]) * consts[t + 1]
+        return value ^ (value >> _SHIFT)
+
+    pool = [hashed(e, _HASH_A, t) for t, e in enumerate(entropy)]
+    t = len(pool)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_L * pool[dst] - _MIX_R * hashed(pool[src], _HASH_A, t)
+                pool[dst] = mixed ^ (mixed >> _SHIFT)
+                t += 1
+    state = [hashed(w, _HASH_B, t).astype(np.uint64) for t, w in enumerate(pool)]
+    return np.stack([state[0] | state[1] << np.uint64(32), state[2] | state[3] << np.uint64(32)], axis=-1)
+
+
+def _noise_models(variances: tuple[float, ...], seeds) -> list[NoiseModel]:
+    """One NoiseModel per seed, every sensor's key derived in one pass for all."""
+    models = []
+    for seed, keys in zip(seeds, _seed_keys(seeds, range(1, len(variances) + 1)).tolist()):
+        nm = NoiseModel(variances=variances, seed=seed)
+        object.__setattr__(nm, "_keys", keys)
+        models.append(nm)
+    return models
+
+
 def _philox_key(model: NoiseModel, sensor: int) -> list[int]:
-    key = model._keys.get(sensor)
-    if key is None:
-        seq = np.random.SeedSequence((model.seed & _MASK64, sensor))
-        key = model._keys[sensor] = seq.generate_state(2, np.uint64).tolist()
-    return key
+    # threads that race here derive equal keys, so either store may win
+    if model._keys is None:
+        (keys,) = _seed_keys([model.seed], range(1, len(model.variances) + 1)).tolist()
+        object.__setattr__(model, "_keys", keys)
+    return model._keys[sensor - 1]
 
 
 def _check_sensor(model: NoiseModel, sensor: int) -> None:
@@ -233,15 +292,19 @@ def _check_sensor(model: NoiseModel, sensor: int) -> None:
         raise ValueError(f"sensor id {sensor} outside 1..{len(model.variances)}")
 
 
+# one generator per thread, so a model may be drawn from in several at once
+_local = threading.local()
+
+
 def _stream(model: NoiseModel, sensor: int, k: int) -> np.random.Philox:
-    """The model's one generator, reset in full (key, counter, buffer) to block k of sensor's stream.
+    """This thread's generator, reset in full (key, counter, buffer) to block k of sensor's stream.
 
     A Philox stream is a pure function of (key, counter), so the reset
     generator gives the words that a fresh one would.
     """
-    if model._philox is None:
-        object.__setattr__(model, "_philox", np.random.Philox(key=0))
-    raw = model._philox
+    raw = getattr(_local, "philox", None)
+    if raw is None:
+        raw = _local.philox = np.random.Philox(key=0)
     raw.state = {
         "bit_generator": "Philox",
         "state": {"counter": [k, 0, 0, 0], "key": _philox_key(model, sensor)},
@@ -271,8 +334,8 @@ def noise_block(model: NoiseModel, sensor: int, steps: int) -> np.ndarray:
 def sample_noise(model: NoiseModel, sensor: int, k: int) -> float:
     """One Gaussian draw v_sensor(k), deterministic in (seed, sensor, k).
 
-    Every draw resets the model's one generator, so draws may come in any
-    order, interleaved with :func:`noise_block`, but not from two threads.
+    Every draw resets this thread's generator, so draws may come in any
+    order, interleaved with :func:`noise_block`, from any thread.
     """
     _check_sensor(model, sensor)
     if k < 0:

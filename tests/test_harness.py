@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -680,6 +681,30 @@ class TestMonteCarlo:
         a = run_monte_carlo(sec5, runs=10, base_seed=0, horizon=25)
         np.testing.assert_allclose(a.mean_tilde, b.mean_tilde, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(a.var_tilde, b.var_tilde, rtol=1e-9, atol=1e-15)
+
+    def test_no_seed_sequence_per_run(self, sec5, monkeypatch):
+        # every Philox key comes from model._seed_keys, one pass per chunk or run
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.random.SeedSequence was called")
+
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        agg = run_monte_carlo(sec5, runs=3, base_seed=2**40, horizon=20)
+        res = run_single(sec5, seed=2**40 + 3, horizon=20)
+        assert np.isfinite(agg.mean_tilde).all() and np.isfinite(res.theta_hat).all()
+
+    def test_chunk_memory_stays_near_its_measurements(self, sec5):
+        # a chunk's largest array is its (n, m, K) measurements, with the noise
+        # written into it in place; a separate noise array would double the peak
+        K = 500
+        tables = step_tables(sec5, K)
+        seeds = tuple(range(10_001, 10_001 + CHUNK_RUNS))
+        tracemalloc.start()
+        try:
+            _chunk_sums((sec5, tables, seeds))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * sec5.n * CHUNK_RUNS * K * 8
 
     def test_variance_is_unbiased_and_clamped(self, sec5):
         agg = run_monte_carlo(sec5, runs=3, base_seed=100, horizon=20)

@@ -1,6 +1,8 @@
 import math
 import pickle
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -269,6 +271,47 @@ class TestNoise:
             assert after == before
         assert noise_block(clone, 1, 20).tobytes() == np.array(before[:20]).tobytes()
 
+    def test_threads_share_a_model(self):
+        # each thread resets its own generator, so draws from one shared model
+        # in more threads than cores give the bytes of sequential draws; the
+        # threads also race to derive the model's keys
+        sensors = (1, 2, 3, 4)
+        nm = NoiseModel(variances=(1.0, 0.5, 2.0, 0.25), seed=2**40)
+        fresh = NoiseModel(variances=(1.0, 0.5, 2.0, 0.25), seed=2**40)
+        want = {
+            sensor: ([sample_noise(fresh, sensor, k) for k in range(300)], noise_block(fresh, sensor, 300).tobytes())
+            for sensor in sensors
+        }
+        start = threading.Barrier(len(sensors), timeout=60)
+        got = {}
+
+        def draw(sensor):
+            start.wait()
+            singles, blocks = [], []
+            for k in range(300):
+                singles.append(sample_noise(nm, sensor, k))
+                if k % 30 == 0:
+                    blocks.append(noise_block(nm, sensor, 300).tobytes())
+            got[sensor] = (singles, blocks)
+
+        # switch threads as often as the interpreter allows, so that one
+        # thread's reset lands between another's reset and its draw
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(sensor,)) for sensor in sensors]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for sensor in sensors:
+            singles, blocks = got[sensor]
+            assert singles == want[sensor][0]
+            assert blocks == [want[sensor][1]] * 10
+
     def test_streams_differ_across_sensors_and_seeds(self):
         a = noise_block(NoiseModel(variances=(1.0, 1.0), seed=1), 1, 32)
         b = noise_block(NoiseModel(variances=(1.0, 1.0), seed=1), 2, 32)
@@ -305,6 +348,32 @@ class TestNoise:
             sample_noise(nm, 2, 0)
         with pytest.raises(ValueError):
             sample_noise(nm, 1, -1)
+
+
+class TestSeedKeys:
+    # seeds at the one/two-word boundary, negatives (taken mod 2**64) and
+    # random 63-bit seeds; sensor ids up to 2**31
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 5, 2**64 - 1, -1, -7, 10**4] + [
+        int(x) for x in np.random.default_rng(13).integers(0, 2**63, 200)
+    ]
+    SENSORS = [1, 2, 3, 4, 5, 6, 2**31]
+
+    def test_equals_seed_sequence(self):
+        got = model._seed_keys(self.SEEDS, self.SENSORS)
+        assert got.shape == (len(self.SEEDS), len(self.SENSORS), 2) and got.dtype == np.uint64
+        for r, seed in enumerate(self.SEEDS):
+            for c, sensor in enumerate(self.SENSORS):
+                want = np.random.SeedSequence((seed & (2**64 - 1), sensor)).generate_state(2, np.uint64)
+                assert got[r, c].tobytes() == want.tobytes(), (seed, sensor)
+
+    def test_batch_models_carry_a_lone_models_keys(self):
+        seeds = [-5, 0, 2**40, 10_001]
+        models = model._noise_models((1.0, 2.0, 0.5), seeds)
+        assert [nm.seed for nm in models] == seeds
+        for nm in models:
+            lone = NoiseModel(variances=(1.0, 2.0, 0.5), seed=nm.seed)
+            assert [model._philox_key(lone, i) for i in (1, 2, 3)] == nm._keys
+            assert nm == lone and noise_block(nm, 3, 9).tobytes() == noise_block(lone, 3, 9).tobytes()
 
 
 class TestMeasure:

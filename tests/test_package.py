@@ -1,6 +1,9 @@
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +38,21 @@ def test_package_surface_is_the_cli_entry_points():
         obj = getattr(dremnet, name)
         home = importlib.import_module(obj.__module__)
         assert getattr(home, name) is obj
+
+
+def test_import_loads_no_process_pool():
+    # the worker pool is imported by a run that uses it, not by the package;
+    # two workers on a single chunk run in this process
+    code = (
+        "import sys, dremnet\n"
+        "s = dremnet.load_scenario('sec5')\n"
+        "dremnet.run_monte_carlo(s, runs=2, base_seed=0, workers=2, horizon=5)\n"
+        "print(sorted({'multiprocessing', 'socket', 'subprocess', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    src = str(Path(dremnet.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _bench_module(name):
