@@ -694,7 +694,7 @@ class TestMonteCarlo:
 
     def test_chunk_memory_stays_near_its_measurements(self, sec5):
         # a chunk's largest array is its (n, m, K) measurements, with the noise
-        # written into it in place; a separate noise array would double the peak
+        # written into it in place; a separate noise array (3x) would not fit
         K = 500
         tables = step_tables(sec5, K)
         seeds = tuple(range(10_001, 10_001 + CHUNK_RUNS))

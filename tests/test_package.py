@@ -51,7 +51,7 @@ def test_import_loads_no_process_pool():
     )
     src = str(Path(dremnet.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
 
 
