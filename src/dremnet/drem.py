@@ -122,8 +122,6 @@ def _adj(a: list) -> np.ndarray:
     d = len(a)
     if d == 1:
         return np.ones((1, 1))
-    if d == 2:
-        return _det_adj2(*a[0], *a[1])[1]
     idx = list(range(d))
     out = [[0.0] * d for _ in idx]
     # cofactor minors of four rows share their three-row minors; below four
@@ -139,8 +137,8 @@ def _adj(a: list) -> np.ndarray:
 
 def _square_rows(m: np.ndarray, what: str) -> list:
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{what} needs a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"{what} needs a non-empty square matrix, got shape {m.shape}")
     return m.tolist()
 
 

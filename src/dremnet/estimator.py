@@ -31,6 +31,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .drem import DremMessage
+from .model import _finite
 
 __all__ = [
     "NodeState",
@@ -74,11 +75,9 @@ class HarmonicSchedule:
     c: float
 
     def __post_init__(self):
-        c = float(self.c)
-        object.__setattr__(self, "c", c)
         # a NaN c would pass c <= 0 and make every alpha(k) = min(1, nan) = 1
-        if not (math.isfinite(c) and c > 0):
-            raise ValueError(f"harmonic coefficient c must be finite and positive, got {c}")
+        (c,) = _finite((self.c,), "harmonic coefficient c", positive=True)
+        object.__setattr__(self, "c", c)
 
     def at(self, k: int) -> float:
         return min(1.0, self.c / max(k, 1))
@@ -91,7 +90,7 @@ class TableSchedule:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = _finite(self.values, "step size")
         object.__setattr__(self, "values", vals)
         if not vals:
             raise ValueError("table schedule needs at least one value")

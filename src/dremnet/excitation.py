@@ -9,19 +9,21 @@ sensor's closed in-neighborhood at each step:
 
 That neighborhood sum is what the gated update actually normalizes by, so a
 sensor whose own delta_bar vanishes identically can still be served by an
-excited in-neighbor. Certificates here are horizon-certified: the scan covers
-a finite trace, with windows starting after the transform's warm-up.
+excited in-neighbor. On the graph with no edges each neighborhood is the
+sensor alone, so the one scan also gives the single-sensor notion.
+Certificates here are horizon-certified: the scan covers a finite trace,
+with windows starting after the transform's warm-up.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .topology import GraphSchedule, neighborhood_index, neighborhood_values
+from .topology import GraphSchedule, StaticGraph, neighborhood_index, neighborhood_values
 
 __all__ = [
     "DeltaTrace",
@@ -83,10 +85,6 @@ class PeCertificate:
     horizon: int
 
 
-def _meets(margin: float, omega: float) -> bool:
-    return margin >= omega * (1.0 - MARGIN_REL_TOL)
-
-
 def _window_margin(step_sums: np.ndarray, H: int, start: int, horizon: int) -> float:
     # every window sum adds its H steps in ascending t
     count = horizon - H + 1 - start
@@ -94,20 +92,6 @@ def _window_margin(step_sums: np.ndarray, H: int, start: int, horizon: int) -> f
     for t in range(start, start + H):
         w += step_sums[t : t + count]
     return float(w.min())
-
-
-def _check_window_args(trace: DeltaTrace, H: int, omega: float, horizon: Optional[int]) -> int:
-    if H < 1:
-        raise ValueError(f"window length must be positive, got {H}")
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValueError(f"omega must be finite and positive, got {omega}")
-    if horizon is None:
-        horizon = trace.steps
-    if horizon < H:
-        raise ValueError(f"horizon {horizon} is shorter than the window H={H}")
-    if horizon > trace.steps:
-        raise ValueError(f"horizon {horizon} exceeds the trace length {trace.steps}")
-    return horizon
 
 
 def local_pe_check(
@@ -122,7 +106,16 @@ def local_pe_check(
     Windows start at d-1 (end of warm-up) and the last one ends at
     horizon-1. Returns per-sensor margins and the slacked omega comparison.
     """
-    horizon = _check_window_args(trace, H, omega, horizon)
+    if H < 1:
+        raise ValueError(f"window length must be positive, got {H}")
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be finite and positive, got {omega}")
+    if horizon is None:
+        horizon = trace.steps
+    if horizon < H:
+        raise ValueError(f"horizon {horizon} is shorter than the window H={H}")
+    if horizon > trace.steps:
+        raise ValueError(f"horizon {horizon} exceeds the trace length {trace.steps}")
     if g.n != trace.n:
         raise ValueError(f"graph has {g.n} sensors but the trace has {trace.n}")
     index = neighborhood_index(g, horizon)
@@ -135,7 +128,7 @@ def local_pe_check(
     return PeCertificate(
         H=H,
         omega=omega,
-        satisfied=tuple(_meets(m, omega) for m in margins),
+        satisfied=tuple(m >= omega * (1.0 - MARGIN_REL_TOL) for m in margins),
         margin=tuple(margins),
         horizon=horizon,
     )
@@ -148,17 +141,14 @@ def single_sensor_pe(
     omega: float,
     horizon: Optional[int] = None,
 ) -> tuple[bool, float]:
-    """The windowed scan restricted to one sensor's own trace.
+    """The windowed scan of one sensor's own trace: its entry of the check on the edgeless graph.
 
-    Equivalent to the neighborhood check with the singleton {sensor}.
     Returns (satisfied, margin).
     """
     if not 1 <= sensor <= trace.n:
         raise ValueError(f"sensor id {sensor} out of range for n={trace.n}")
-    horizon = _check_window_args(trace, H, omega, horizon)
-    step_sums = trace.values[sensor - 1, :horizon] ** 2
-    margin = _window_margin(step_sums, H, min(trace.d - 1, horizon - H), horizon)
-    return _meets(margin, omega), margin
+    cert = local_pe_check(trace, StaticGraph(trace.n, ()), H, omega, horizon)
+    return cert.satisfied[sensor - 1], cert.margin[sensor - 1]
 
 
 def find_certificate(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
@@ -33,7 +34,7 @@ from .estimator import (
     schedule_violations,
     step_size,
 )
-from .excitation import DeltaTrace, find_certificate, local_pe_check, single_sensor_pe
+from .excitation import DeltaTrace, find_certificate, local_pe_check
 from .model import (
     Constant,
     CustomTable,
@@ -41,6 +42,7 @@ from .model import (
     PeriodicList,
     RecursiveCosine,
     RegressorGenerator,
+    _finite,
     _noise_models,
     noise_block,
     regressor_table,
@@ -84,6 +86,21 @@ class ScenarioError(ValueError):
     """A scenario config failed to parse or validate."""
 
 
+def _floats(value, what: str) -> np.ndarray:
+    """``value`` as a float array of its own shape, every entry checked by ``model._finite``."""
+    entries = np.asarray(value, dtype=object)
+    return np.array(_finite(entries.ravel().tolist(), what), dtype=float).reshape(entries.shape)
+
+
+def _steps(horizon) -> int:
+    """A horizon as an int: a Python or numpy integer, not a bool, at least 0."""
+    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
+        raise ValueError(f"horizon must be an integer, got {horizon!r}")
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
+    return int(horizon)
+
+
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """Everything a run needs; immutable and picklable for worker pools."""
@@ -100,16 +117,21 @@ class Scenario:
     horizon: int
 
     def __post_init__(self):
+        # the number and horizon checks below raise ValueError; report those too
+        try:
+            self._check()
+        except ValueError as e:
+            raise ScenarioError(str(e)) from None
+
+    def _check(self):
         if self.n < 1:
             raise ScenarioError(f"n must be at least 1, got {self.n}")
         if self.d < 1:
             raise ScenarioError(f"d must be at least 1, got {self.d}")
-        theta = np.asarray(self.theta, dtype=float)
+        theta = _floats(self.theta, "theta")
         object.__setattr__(self, "theta", theta)
         if theta.shape != (self.d,):
             raise ScenarioError(f"theta must have shape ({self.d},), got {theta.shape}")
-        if not np.all(np.isfinite(theta)):
-            raise ScenarioError(f"theta must be finite, got {theta.tolist()}")
         if len(self.generators) != self.n:
             raise ScenarioError(f"generators: expected {self.n} entries, got {len(self.generators)}")
         for i, gen in enumerate(self.generators, start=1):
@@ -117,26 +139,23 @@ class Scenario:
                 raise ScenarioError(
                     f"generators: sensor {i} emits dimension {gen.dimension}, expected d={self.d}"
                 )
-        object.__setattr__(self, "variances", tuple(float(r) for r in self.variances))
+        object.__setattr__(self, "variances", _finite(self.variances, "noise: variance"))
         if len(self.variances) != self.n:
             raise ScenarioError(f"noise: expected {self.n} variances, got {len(self.variances)}")
         for i, r in enumerate(self.variances, start=1):
-            if not (math.isfinite(r) and r >= 0.0):
+            if r < 0.0:
                 raise ScenarioError(f"noise: variance for sensor {i} must be >= 0, got {r}")
-        object.__setattr__(self, "mu", tuple(float(m) for m in self.mu))
+        object.__setattr__(self, "mu", _finite(self.mu, "mu: entry"))
         if len(self.mu) != self.n:
             raise ScenarioError(f"mu: expected {self.n} entries, got {len(self.mu)}")
         for i, m in enumerate(self.mu, start=1):
-            if not (math.isfinite(m) and m > 0.0):
+            if m <= 0.0:
                 raise ScenarioError(f"mu: entry for sensor {i} must be positive, got {m}")
-        th0 = np.asarray(self.theta_hat0, dtype=float)
+        th0 = _floats(self.theta_hat0, "theta_hat0")
         object.__setattr__(self, "theta_hat0", th0)
         if th0.shape != (self.n, self.d):
             raise ScenarioError(f"theta_hat0 must have shape ({self.n}, {self.d}), got {th0.shape}")
-        if not np.all(np.isfinite(th0)):
-            raise ScenarioError(f"theta_hat0 must be finite, got {th0.tolist()}")
-        if self.horizon < 0:
-            raise ScenarioError(f"horizon must be nonnegative, got {self.horizon}")
+        object.__setattr__(self, "horizon", _steps(self.horizon))
         if self.graph.n != self.n:
             raise ScenarioError(f"graph: n={self.graph.n} does not match scenario n={self.n}")
 
@@ -355,10 +374,7 @@ class StepTables:
 
 def _horizon(s: Scenario, horizon: Optional[int]) -> int:
     """The step count to simulate: the override if given, else the scenario's."""
-    K = s.horizon if horizon is None else int(horizon)
-    if K < 0:
-        raise ValueError(f"horizon must be nonnegative, got {K}")
-    return K
+    return s.horizon if horizon is None else _steps(horizon)
 
 
 def _overflow(sensor: int, k: int) -> ValueError:
@@ -782,10 +798,8 @@ def check_scenario(
     window = {i: h or h_top for i, h in pe_h.items()}
     certs = {h: local_pe_check(trace, s.graph, h, omega, K) for h in set(window.values())}
     pe_margin = {i: certs[h].margin[i - 1] for i, h in window.items()}
-    single_pe_h = {
-        i: next((h for h in range(1, h_top + 1) if single_sensor_pe(trace, i, h, omega, K)[0]), None)
-        for i in range(1, s.n + 1)
-    }
+    # a sensor alone is its closed neighborhood on the graph with no edges
+    single_pe_h = find_certificate(trace, StaticGraph(s.n, ()), omega, h_max, K)
     pe_ok = all(h is not None for h in pe_h.values())
     for i, h in pe_h.items():
         if h is None:

@@ -16,6 +16,7 @@ exact same values.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import threading
@@ -43,24 +44,25 @@ _MASK64 = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
 
 
-def _finite(values, what: str) -> tuple[float, ...]:
+def _finite(values, what: str, positive: bool = False) -> tuple[float, ...]:
     """The values as a tuple of floats; raises ValueError naming ``what`` on a non-number, inf or NaN.
 
     Python and numpy ints and floats count as numbers; str and bool do not.
+    With ``positive``, a value <= 0 is refused too.
     """
     for x in values:
         if isinstance(x, bool) or not isinstance(x, numbers.Real):
             raise ValueError(f"{what} must be a number, got {x!r}")
     out = tuple(float(x) for x in values)
     for x in out:
-        if not math.isfinite(x):
-            raise ValueError(f"{what} must be finite, got {x}")
+        if not (math.isfinite(x) and (x > 0.0 or not positive)):
+            raise ValueError(f"{what} must be finite{' and positive' if positive else ''}, got {x}")
     return out
 
 
 @dataclass(frozen=True)
 class _VectorList:
-    """A non-empty list of vectors of one dimension; the generators below read it."""
+    """A non-empty list of non-empty vectors of one dimension; the generators below read it."""
 
     vectors: tuple[tuple[float, ...], ...]
 
@@ -70,6 +72,8 @@ class _VectorList:
             raise ValueError(f"{type(self).__name__} needs at least one vector")
         if len({len(v) for v in self.vectors}) != 1:
             raise ValueError(f"{type(self).__name__} vectors must share one dimension")
+        if not self.vectors[0]:
+            raise ValueError("regressor vectors must be non-empty")
 
     @property
     def dimension(self) -> int:
@@ -89,6 +93,11 @@ class PeriodicList(_VectorList):
         return np.array(self.vectors, dtype=float)[ks % len(self.vectors)]
 
 
+def Constant(vector) -> PeriodicList:
+    """phi(k) = vector for every k: a periodic list of one vector."""
+    return PeriodicList(vectors=(vector,))
+
+
 @dataclass(frozen=True)
 class RecursiveCosine:
     """One slot follows a(k) = a(k-1) + cos(k * angle_step); the rest is fixed.
@@ -96,23 +105,20 @@ class RecursiveCosine:
     The emitted vector is ``base`` with ``base[slot]`` replaced by a(k),
     starting from a(0) = ``initial``. Values are produced by the literal
     float recursion (not a closed form) so that consecutive differences
-    recover the cosine increments exactly as summed. Each instance keeps the
-    values computed so far, so a table of K steps costs K cosines once; the
-    list may be grown by one thread at a time.
+    recover the cosine increments exactly as summed. Each call runs the
+    recursion afresh up to the largest step asked for, so an instance holds
+    no state and any number of threads may read it.
     """
 
     base: tuple[float, ...]
     slot: int
     initial: float
     angle_step: float
-    # a(0), a(1), ... as computed so far; ignored by ==, hash and repr
-    _values: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "base", _finite(self.base, "base entry"))
         for name in ("initial", "angle_step"):
             object.__setattr__(self, name, _finite((getattr(self, name),), name)[0])
-        self._values.append(self.initial)
         if isinstance(self.slot, bool) or not isinstance(self.slot, numbers.Integral):
             raise ValueError(f"slot must be an integer, got {self.slot!r}")
         if not 0 <= self.slot < len(self.base):
@@ -137,41 +143,14 @@ class RecursiveCosine:
         fixed = [abs(x) for i, x in enumerate(self.base) if i != self.slot]
         return max([slot_bound, *fixed])
 
-    def _recursion(self, steps: int) -> list[float]:
-        """a(0), a(1), ... with at least ``steps`` entries; written entries never change."""
-        values = self._values
-        for t in range(len(values), steps):
-            values.append(values[-1] + math.cos(t * self.angle_step))
-        return values
-
     def rows(self, ks: np.ndarray) -> np.ndarray:
         out = np.tile(np.array(self.base, dtype=float), (len(ks), 1))
-        values = self._recursion(int(ks.max(initial=-1)) + 1)
+        # a(0), ..., a(max ks), each a(t-1) + cos(t * angle_step)
+        top = int(ks.max(initial=0))
+        steps = (math.cos(t * self.angle_step) for t in range(1, top + 1))
+        values = list(itertools.accumulate(steps, initial=self.initial))
         out[:, self.slot] = [values[k] for k in ks.tolist()]
         return out
-
-
-@dataclass(frozen=True)
-class Constant:
-    """phi(k) = vector for every k."""
-
-    vector: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vector", _finite(self.vector, "vector entry"))
-        if not self.vector:
-            raise ValueError("Constant vector must be non-empty")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.vector)
-
-    @property
-    def bound(self) -> float:
-        return max(abs(x) for x in self.vector)
-
-    def rows(self, ks: np.ndarray) -> np.ndarray:
-        return np.tile(np.array(self.vector, dtype=float), (len(ks), 1))
 
 
 @dataclass(frozen=True)
@@ -183,11 +162,15 @@ class CustomTable(_VectorList):
 
 
 # each kind's rows(ks) stacks phi(k) for every k of an integer array ks
-RegressorGenerator = Union[PeriodicList, RecursiveCosine, Constant, CustomTable]
+RegressorGenerator = Union[PeriodicList, RecursiveCosine, CustomTable]
 
 
 def regressor_at(gen: RegressorGenerator, k: int) -> np.ndarray:
-    """Evaluate phi(k) for a generator. k must be >= 0."""
+    """Evaluate phi(k) for a generator. k must be >= 0.
+
+    A recursive cosine runs its recursion up to k on every call, so reading
+    many steps costs less through :func:`regressor_table`.
+    """
     if k < 0:
         raise ValueError(f"regressor index must be >= 0, got {k}")
     return gen.rows(np.array([k]))[0]
@@ -215,10 +198,10 @@ class NoiseModel:
     _keys: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "variances", tuple(float(r) for r in self.variances))
+        object.__setattr__(self, "variances", _finite(self.variances, "noise variance"))
         for i, r in enumerate(self.variances, start=1):
-            if not (r >= 0.0 and math.isfinite(r)):
-                raise ValueError(f"noise variance R_{i} must be finite and >= 0, got {r}")
+            if r < 0.0:
+                raise ValueError(f"noise variance R_{i} must be >= 0, got {r}")
 
 
 def _hash_constants(init: int, mult: int, count: int) -> list[np.uint32]:

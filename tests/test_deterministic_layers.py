@@ -112,13 +112,14 @@ def reference_moments(s, coef):
     return dict(mean=mean, cov_exact=exact, cov_bound=bound)
 
 
-def reference_margins(s, delta, H, K):
+def reference_margins(s, delta, H, K, hood):
+    """Each sensor's smallest H-window sum of delta^2 over ``hood(i, t)``, its neighborhood at step t."""
     sq = delta ** 2
     margins = []
     for i in range(1, s.n + 1):
         step_sums = np.zeros(K)
         for t in range(K):
-            for j in closed_in_neighborhood(s.graph, i, t):
+            for j in hood(i, t):
                 step_sums[t] += sq[j - 1, t]
         best = np.inf
         for k in range(min(s.d - 1, K - H), K - H + 1):
@@ -131,13 +132,17 @@ def reference_margins(s, delta, H, K):
     return margins
 
 
+def closed(s):
+    return lambda i, t: closed_in_neighborhood(s.graph, i, t)
+
+
 def reference_problems(s, delta, K, omega=1.0):
     problems = [
         f"sensor {i}: regressor sequence is unbounded"
         for i, g in enumerate(s.generators, start=1)
         if not np.isfinite(g.bound)
     ]
-    margins = {H: reference_margins(s, delta, H, K) for H in range(1, H_MAX + 1)}
+    margins = {H: reference_margins(s, delta, H, K, closed(s)) for H in range(1, H_MAX + 1)}
     for i in range(1, s.n + 1):
         if not any(m[i - 1] >= omega * (1.0 - MARGIN_REL_TOL) for m in margins.values()):
             problems.append(
@@ -203,10 +208,18 @@ def test_theorem_check(case):
 def test_excitation_margins(case):
     s, K, t, _, _ = case
     trace = DeltaTrace(values=t["delta"], d=s.d)
-    want = {H: reference_margins(s, t["delta"], H, K) for H in range(1, H_MAX + 1)}
+    want = {H: reference_margins(s, t["delta"], H, K, closed(s)) for H in range(1, H_MAX + 1)}
     for H, margins in want.items():
         got = local_pe_check(trace, s.graph, H, 1.0, K).margin
         assert np.array(got).tobytes() == np.array(margins).tobytes()
     report = check_scenario(s, h_max=H_MAX, horizon=K)
     for i, h in report.pe_h.items():
         assert report.pe_margin[i] == want[h or H_MAX][i - 1]
+    # individual excitation: the smallest H whose windows over the sensor
+    # alone reach omega = 1, by brute force
+    alone = {H: reference_margins(s, t["delta"], H, K, lambda i, k: (i,)) for H in range(1, H_MAX + 1)}
+    single_h = {
+        i: next((H for H, m in alone.items() if m[i - 1] >= 1.0 - MARGIN_REL_TOL), None)
+        for i in range(1, s.n + 1)
+    }
+    assert report.single_pe_h == single_h

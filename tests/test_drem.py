@@ -74,6 +74,12 @@ class TestDeterminant:
         with pytest.raises(ValueError):
             determinant(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("func", [determinant, adjugate])
+    def test_rejects_empty(self, func):
+        # before, the cofactor expansion indexed into no rows (IndexError)
+        with pytest.raises(ValueError, match=r"non-empty square matrix, got shape \(0, 0\)"):
+            func(np.zeros((0, 0)))
+
 
 class TestAdjugate:
     def test_hand_value(self):

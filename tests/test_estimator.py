@@ -41,6 +41,19 @@ class TestStepSchedules:
         with pytest.raises(ValueError, match="c must be finite and positive"):
             HarmonicSchedule(c=c)
 
+    @pytest.mark.parametrize("c", ["0.7", True])
+    def test_harmonic_coefficient_must_be_a_number(self, c):
+        # before, "0.7" loaded as 0.7 and True as 1.0
+        with pytest.raises(ValueError, match=f"^harmonic coefficient c must be a number, got {c!r}$"):
+            HarmonicSchedule(c=c)
+
+    def test_table_values_must_be_numbers(self):
+        with pytest.raises(ValueError, match="^step size must be a number, got '0.5'$"):
+            TableSchedule(values=("0.5", True))
+        with pytest.raises(ValueError, match="^step size must be a number, got True$"):
+            TableSchedule(values=(0.5, True))
+        assert TableSchedule(values=(np.float64(0.5), 1)).values == (0.5, 1.0)
+
     def test_table_holds_last(self):
         s = TableSchedule(values=(0.5, 0.25))
         assert step_size(s, 0) == 0.5

@@ -310,7 +310,8 @@ class TestGeneratorConfig:
                 },
                 RecursiveCosine,
             ),
-            ({"kind": "constant", "vector": [1, 1]}, Constant),
+            # a constant generator is a periodic list of one vector
+            ({"kind": "constant", "vector": [1, 1]}, PeriodicList),
             ({"kind": "custom-table", "vectors": [[1, 0]]}, CustomTable),
         ]
         for gcfg, cls in cases:
@@ -408,6 +409,59 @@ class TestScenarioValidation:
     def test_theta_must_be_finite(self, sec5):
         with pytest.raises(ScenarioError, match="theta must be finite"):
             dataclasses.replace(sec5, theta=np.array([np.nan, 1.0]))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("variances", ("1", True, 1.0, 1.0), "noise: variance must be a number, got '1'"),
+            ("variances", (1.0, True, 1.0, 1.0), "noise: variance must be a number, got True"),
+            ("mu", ("0.1", 0.2, 0.3, True), "mu: entry must be a number, got '0.1'"),
+            ("mu", (0.1, 0.2, 0.3, True), "mu: entry must be a number, got True"),
+            ("theta", ["2.5", True], "theta must be a number, got '2.5'"),
+            ("theta", [2.5, True], "theta must be a number, got True"),
+            ("theta_hat0", [[0.0, 0.0]] * 3 + [[0.0, True]], "theta_hat0 must be a number, got True"),
+            ("horizon", 2.7, "horizon must be an integer, got 2.7"),
+            ("horizon", True, "horizon must be an integer, got True"),
+            ("horizon", "500", "horizon must be an integer, got '500'"),
+        ],
+        ids=[
+            "variances-str", "variances-bool", "mu-str", "mu-bool", "theta-str", "theta-bool",
+            "theta_hat0-bool", "horizon-float", "horizon-bool", "horizon-str",
+        ],
+    )
+    def test_python_numbers_are_not_coerced(self, sec5, field, value, message):
+        # JSON configs meet these checks in the typed reader first; Python
+        # callers met none, and "1" loaded as 1.0, True as 1.0 and 2.7 as 2.7
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(sec5, **{field: value})
+
+    def test_numpy_numbers_stay_valid(self, sec5):
+        s = dataclasses.replace(
+            sec5,
+            variances=tuple(np.ones(4)),
+            mu=(np.float32(0.5), 1, 0.25, np.float64(2.0)),
+            theta=[np.int64(2), 1],
+            horizon=np.int64(30),
+        )
+        assert s.variances == (1.0,) * 4 and s.mu == (0.5, 1.0, 0.25, 2.0)
+        assert s.theta.tolist() == [2.0, 1.0] and s.theta.dtype == float
+        assert s.horizon == 30 and type(s.horizon) is int
+        res = run_single(sec5, 1, horizon=np.int64(7))
+        assert res.horizon == 7 and type(res.horizon) is int
+        assert res.theta_hat.tobytes() == run_single(sec5, 1, horizon=7).theta_hat.tobytes()
+
+    @pytest.mark.parametrize("horizon", [2.7, True, np.float64(3.0)])
+    def test_horizon_override_must_be_an_integer(self, sec5, horizon):
+        # before, run_single and run_monte_carlo ran int(horizon) steps and
+        # step_tables raised IndexError
+        for call in (
+            lambda: run_single(sec5, 1, horizon=horizon),
+            lambda: run_monte_carlo(sec5, 2, 0, horizon=horizon),
+            lambda: step_tables(sec5, horizon),
+            lambda: check_scenario(sec5, horizon=horizon),
+        ):
+            with pytest.raises(ValueError, match=f"^horizon must be an integer, got {re.escape(repr(horizon))}$"):
+                call()
 
     def test_theta_hat0_must_be_finite(self, sec5):
         with pytest.raises(ScenarioError, match="theta_hat0 must be finite"):

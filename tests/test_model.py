@@ -71,7 +71,7 @@ class TestRecursiveCosine:
         gen = RecursiveCosine(base=(1.0, 0.0), slot=1, initial=2.0, angle_step=math.pi / 2)
         b = gen.bound
         assert math.isfinite(b)
-        values = [regressor_at(gen, k)[1] for k in range(20_000)]
+        values = regressor_table(gen, 20_000)[:, 1].tolist()
         assert max(abs(v) for v in values) <= b + 1e-9
 
     def test_unbounded_when_angle_degenerate(self):
@@ -168,6 +168,34 @@ class TestRecursionCache:
         assert copy == gen
         assert regressor_table(copy, self.STEPS)[:, 1].tolist() == self.literal()
 
+    def test_threads_share_a_generator(self):
+        # four threads build long tables from one fresh generator while the
+        # interpreter switches threads as often as it allows; each table, and
+        # one built after them, must equal a sequential build
+        steps = 20_000
+        want = regressor_table(self.fresh(), steps).tobytes()
+        gen = self.fresh()
+        start = threading.Barrier(4, timeout=60)
+        got = [None] * 4
+
+        def build(t):
+            start.wait()
+            got[t] = regressor_table(gen, steps).tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 4
+        assert regressor_table(gen, steps).tobytes() == want
+
     def test_no_module_level_cache(self):
         assert not hasattr(model, "_RECURSION_CACHE")
         containers = {
@@ -211,6 +239,28 @@ class TestNoCoercion:
             RecursiveCosine(base=(0.0, 1.0), slot=True, initial=3.0, angle_step=0.5)
         with pytest.raises(ValueError, match="^initial must be a number, got '3'$"):
             RecursiveCosine(base=(0.0, 1.0), slot=0, initial="3", angle_step=0.5)
+
+    def test_noise_variances(self):
+        with pytest.raises(ValueError, match="^noise variance must be a number, got '1'$"):
+            NoiseModel(variances=("1",), seed=1)
+        with pytest.raises(ValueError, match="^noise variance must be a number, got True$"):
+            NoiseModel(variances=(1.0, True), seed=1)
+        assert NoiseModel(variances=(np.float32(0.5), 2), seed=1).variances == (0.5, 2.0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Constant(vector=()),
+            lambda: PeriodicList(vectors=((),)),
+            lambda: CustomTable(vectors=((),)),
+        ],
+        ids=["constant", "periodic", "table"],
+    )
+    def test_empty_vectors_rejected(self, make):
+        # before, a periodic list of empty vectors was built and its bound
+        # raised from max() of nothing
+        with pytest.raises(ValueError, match="vectors must be non-empty"):
+            make()
 
     def test_numpy_numbers_stay_valid(self):
         gen = CustomTable(vectors=((np.float64(0.5), np.int64(2)),))
