@@ -129,18 +129,24 @@ def covariance_recursion(
     coef = step_coefficients(s, horizon)
     n, K = coef.beta.shape
     damp = 1.0 - coef.beta
-    # one scalar recursion per (sensor, channel) on Python floats, which round as
-    # numpy's elementwise operations do (CPython fuses no multiply-add)
-    eps = coef.epsilon.transpose(0, 2, 1).tolist()
+    # where beta and epsilon are zero, damp is 1.0 and 1.0 * e + 0.0 == e for
+    # every e >= +0, so each recursion visits its update steps only
+    upd = (coef.beta != 0.0) | (coef.epsilon != 0.0).any(axis=2)
     exact = np.zeros((n, K + 1, s.d))
     bound = np.zeros((n, K + 1, s.d))
-    for i, (damp_i, sq_i, eps_i) in enumerate(zip(damp.tolist(), (damp * damp).tolist(), eps)):
-        for l, eps_il in enumerate(eps_i):
+    for i in range(n):
+        ks = np.flatnonzero(upd[i])
+        dks = damp[i, ks]
+        dk_i, sq_i = dks.tolist(), (dks * dks).tolist()
+        done = np.concatenate([[0], np.cumsum(upd[i])])  # updates before each step
+        # one scalar recursion per channel on Python floats, which round as
+        # numpy's elementwise operations do (CPython fuses no multiply-add)
+        for l, eps_il in enumerate(coef.epsilon[i, ks].T.tolist()):
             ex, bd = [e := 0.0], [b := 0.0]
-            for dk, sq, ek in zip(damp_i, sq_i, eps_il):
+            for dk, sq, ek in zip(dk_i, sq_i, eps_il):
                 ex.append(e := sq * e + ek)
                 bd.append(b := dk * b + ek)
-            exact[i, :, l], bound[i, :, l] = ex, bd
+            exact[i, :, l], bound[i, :, l] = np.take(ex, done), np.take(bd, done)
     return exact, bound
 
 

@@ -41,24 +41,21 @@ def stack_regressors(history: Sequence[np.ndarray]) -> np.ndarray:
     """Stack the last d regressors (rows or a (d, d) array), newest first, into a matrix.
 
     ``history[0]`` is phi(k) and becomes row 0; ``history[d-1]`` is
-    phi(k-d+1) and becomes the last row.
+    phi(k-d+1) and becomes the last row. A (d, d) float64 array, such as a
+    window view of a regressor table, comes back as is, not copied.
     """
     d = len(history)
     if d == 0:
         raise ValueError("history must contain at least one regressor")
-    m = np.array(history, dtype=float)
+    m = np.asarray(history, dtype=float)
     if m.shape != (d, d):
         raise ValueError(f"need {d} regressors of length {d}, got shape {m.shape}")
     return m
 
 
-# the one copy of the 2x2 formulas, for the matrix [[p, q], [r, s]]
+# the one copy of the 2x2 determinant formula, for the matrix [[p, q], [r, s]]
 def _det2(p: float, q: float, r: float, s: float) -> float:
     return p * s - q * r
-
-
-def _det_adj2(p: float, q: float, r: float, s: float) -> tuple[float, np.ndarray]:
-    return _det2(p, q, r, s), np.array((s, -q, -r, p)).reshape(2, 2)
 
 
 # The det/adj kernels work on one tolist() of the matrix, the row list ``a``;
@@ -155,7 +152,12 @@ def adjugate(m: np.ndarray) -> np.ndarray:
 def extend(history: Sequence[np.ndarray]) -> tuple[float, np.ndarray]:
     """(det, adj) of the extended regressor stacked from the last d regressors, newest first."""
     a = stack_regressors(history).tolist()
-    return _det_adj2(*a[0], *a[1]) if len(a) == 2 else (_det(a), _adj(a))
+    if len(a) != 2:
+        return _det(a), _adj(a)
+    (p, q), (r, s) = a
+    adj = np.empty((2, 2))  # filled item by item: cheaper than np.array of a nested tuple
+    adj[0, 0], adj[0, 1], adj[1, 0], adj[1, 1] = s, -q, -r, p
+    return _det2(p, q, r, s), adj
 
 
 @dataclass(frozen=True, eq=False)

@@ -94,17 +94,12 @@ def _window_margin(step_sums: np.ndarray, H: int, start: int, horizon: int) -> f
     return float(w.min())
 
 
-def local_pe_check(
-    trace: DeltaTrace,
-    g: GraphSchedule,
-    H: int,
-    omega: float,
-    horizon: Optional[int] = None,
-) -> PeCertificate:
-    """Scan every sensor's neighborhood-summed squared trace over H-windows.
+def _step_sums(
+    trace: DeltaTrace, g: GraphSchedule, H: int, omega: float, horizon: Optional[int]
+) -> np.ndarray:
+    """Each sensor's closed-neighborhood sum of squared traces per step, (n, horizon).
 
-    Windows start at d-1 (end of warm-up) and the last one ends at
-    horizon-1. Returns per-sensor margins and the slacked omega comparison.
+    Checks the arguments of an H-window scan; the sums do not depend on H.
     """
     if H < 1:
         raise ValueError(f"window length must be positive, got {H}")
@@ -123,7 +118,12 @@ def local_pe_check(
     step_sums = np.zeros((trace.n, horizon))
     for p in range(index.shape[2]):
         step_sums += members[:, :, p]
-    start = min(trace.d - 1, horizon - H)
+    return step_sums
+
+
+def _certify(step_sums: np.ndarray, d: int, H: int, omega: float) -> PeCertificate:
+    horizon = step_sums.shape[1]
+    start = min(d - 1, horizon - H)
     margins = [_window_margin(row, H, start, horizon) for row in step_sums]
     return PeCertificate(
         H=H,
@@ -132,6 +132,21 @@ def local_pe_check(
         margin=tuple(margins),
         horizon=horizon,
     )
+
+
+def local_pe_check(
+    trace: DeltaTrace,
+    g: GraphSchedule,
+    H: int,
+    omega: float,
+    horizon: Optional[int] = None,
+) -> PeCertificate:
+    """Scan every sensor's neighborhood-summed squared trace over H-windows.
+
+    Windows start at d-1 (end of warm-up) and the last one ends at
+    horizon-1. Returns per-sensor margins and the slacked omega comparison.
+    """
+    return _certify(_step_sums(trace, g, H, omega, horizon), trace.d, H, omega)
 
 
 def single_sensor_pe(
@@ -164,8 +179,9 @@ def find_certificate(
     # H = 1 is always tried, so a zero horizon raises
     top = min(max_h, max(trace.steps if horizon is None else horizon, 1))
     found: dict[int, Optional[int]] = {i: None for i in range(1, trace.n + 1)}
+    step_sums = _step_sums(trace, g, 1, omega, horizon)  # one neighborhood scan for every H
     for H in range(1, top + 1):
-        cert = local_pe_check(trace, g, H, omega, horizon)
+        cert = _certify(step_sums, trace.d, H, omega)
         for i in range(1, trace.n + 1):
             if found[i] is None and cert.satisfied[i - 1]:
                 found[i] = H

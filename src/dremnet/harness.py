@@ -422,12 +422,13 @@ def step_tables(s: Scenario, horizon: Optional[int] = None) -> StepTables:
         full += dlt[:, :, p] * dlt[:, :, p]
     # read from the module at call time, so the tables and node_step share one rule
     updates = estimator.updates
-    c = [0] * n
-    counts = [c]
-    for row in full.T.tolist():
-        c = [0 if updates(ci, f, d) else ci + 1 for ci, f in zip(c, row)]
-        counts.append(c)
-    counters = np.array(counts, dtype=np.int64).T.copy()
+    counts = []
+    for row in full.tolist():
+        trail = [c := 0]
+        for f in row:
+            trail.append(c := 0 if updates(c, f, d) else c + 1)
+        counts.append(trail)
+    counters = np.array(counts, dtype=np.int64)
     eff = counters[:, 1:] == 0
     return StepTables(
         horizon=K,
@@ -702,8 +703,7 @@ def write_csv(target, header: str, lines: Iterable[str]) -> None:
     """
     if hasattr(target, "write"):
         target.write(header + "\n")
-        for line in lines:
-            target.write(line + "\n")
+        target.writelines(line + "\n" for line in lines)
         return
     try:
         with open(target, "w", newline="") as f:
@@ -713,19 +713,31 @@ def write_csv(target, header: str, lines: Iterable[str]) -> None:
 
 
 def step_rows(values: np.ndarray) -> Iterator[str]:
-    """CSV lines of an (n, K+1, c) or (n, K+1, d, c) step table, k-major.
+    """CSV lines of an (n, K+1, c) or (n, K+1, d, c) float64 step table, k-major.
 
     Each line is ``k,i`` (and ``l`` for a per-channel table, i and l 1-based)
     followed by the repr of each of the c floats, which round-trips float64
-    exactly. One step is converted at a time, to keep memory flat.
+    exactly. One step is converted at a time, to keep memory flat. A row
+    whose float64 bits equal the previous step's reuses that step's text: bits,
+    not ``==``, since 0.0 and -0.0 compare equal but print apart and NaN never
+    compares equal.
     """
-    for k in range(values.shape[1]):
-        for i, row in enumerate(values[:, k].tolist(), start=1):
-            if values.ndim == 3:
-                yield f"{k},{i}," + ",".join(map(repr, row))
-            else:
-                for l, cells in enumerate(row, start=1):
-                    yield f"{k},{i},{l}," + ",".join(map(repr, cells))
+    per_channel = values.ndim == 4
+    table = values if per_channel else values[:, :, None]  # (n, K+1, width, c)
+    n, steps, width = table.shape[:3]
+    bits = table.view(np.uint64)
+    new = np.ones((n, steps, width), dtype=bool)
+    new[:, 1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=3)
+    labels = [f"{i},{l}," if per_channel else f"{i}," for i in range(1, n + 1) for l in range(1, width + 1)]
+    text = [""] * (n * width)
+    for k, fresh in enumerate(new.transpose(1, 0, 2).reshape(steps, n * width).tolist()):
+        rows = table[:, k].reshape(n * width, -1).tolist()
+        for j, changed in enumerate(fresh):
+            if changed:
+                text[j] = ",".join(map(repr, rows[j]))
+        head = f"{k},"
+        for label, cells in zip(labels, text):
+            yield head + label + cells
 
 
 def export_csv(obj: Union[RunResult, MonteCarloAggregate], path: Union[str, Path]) -> None:

@@ -19,6 +19,7 @@ from dremnet.drem import adjugate
 from dremnet.estimator import HarmonicSchedule, TableSchedule
 from dremnet.harness import run_monte_carlo
 from dremnet.model import Constant
+from dremnet.topology import StaticGraph
 
 from test_harness import tiny_scenario
 
@@ -203,6 +204,56 @@ class TestCovarianceRecursion:
         exact, _ = covariance_recursion(sec5, horizon=1000)
         ratio = exact[:, 1000] / exact[:, 10]
         assert np.all(ratio <= 0.1), f"max cov(1000)/cov(10) = {ratio.max():.3f}"
+
+
+def all_steps_covariance(s, horizon=None):
+    """Reference for covariance_recursion: both recursions through every step, held ones too."""
+    coef = step_coefficients(s, horizon)
+    n, K = coef.beta.shape
+    exact = np.zeros((n, K + 1, s.d))
+    bound = np.zeros((n, K + 1, s.d))
+    for i in range(n):
+        for l in range(s.d):
+            e = b = 0.0
+            for k in range(K):
+                dk, ek = 1.0 - float(coef.beta[i, k]), float(coef.epsilon[i, k, l])
+                e = dk * dk * e + ek
+                b = dk * b + ek
+                exact[i, k + 1, l], bound[i, k + 1, l] = e, b
+    return exact, bound
+
+
+class TestUpdateIndexedCovariance:
+    """covariance_recursion visits update steps only; it must match the all-steps loop bit for bit."""
+
+    @staticmethod
+    def assert_bits_equal(s, horizon):
+        got, want = covariance_recursion(s, horizon), all_steps_covariance(s, horizon)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (s.n, horizon + 1, s.d)
+            assert g.tobytes() == w.tobytes()
+
+    def test_sec5_long_horizon(self, sec5):
+        self.assert_bits_equal(sec5, 1000)
+
+    @pytest.mark.parametrize("name", ["periodic_d3", "table_d5"])
+    def test_generated_scenarios(self, name, request):
+        s = request.getfixturevalue(name)
+        self.assert_bits_equal(s, s.horizon)
+
+    @pytest.mark.parametrize("K", [0, 1])
+    def test_shortest_horizons(self, sec5, K):
+        self.assert_bits_equal(sec5, K)
+
+    def test_sensor_that_never_updates_holds_plus_zero(self, sec5):
+        # alone on the edgeless graph, sensor 4's constant regressor stacks
+        # into singular windows, so it never updates
+        s = dataclasses.replace(sec5, graph=StaticGraph(n=sec5.n, edges=()))
+        self.assert_bits_equal(s, 200)
+        exact, bound = covariance_recursion(s, 200)
+        for a in (exact, bound):
+            assert np.all(a[3] == 0.0) and not np.any(np.signbit(a[3]))
+            assert np.any(a[:3] > 0.0)
 
 
 class TestMoments:

@@ -3,11 +3,13 @@
 The references are plain per-row f-string writers: repr floats, LF line
 ends, rows ordered by step k, then sensor i, then channel l. They run on
 sec5 and on the d = 3 ``periodic_d3`` scenario, so the channel-numbered
-headers are covered beyond d = 2.
+headers are covered beyond d = 2. ``step_rows``, which reuses the text of
+held rows, is also matched against a formatter that makes every row afresh.
 """
 
 import io
 
+import numpy as np
 import pytest
 
 from dremnet import cli, harness
@@ -135,3 +137,44 @@ def test_check_pe_file_and_stdout(scenario, tmp_path, monkeypatch, capsys):
     assert cli.main(["check-pe", "--steps", "120"]) == rc
     assert capsys.readouterr().out == want
 
+
+
+def ref_step_rows(values):
+    """Reference for step_rows: every row's text made afresh, no reuse."""
+    out = []
+    for k in range(values.shape[1]):
+        for i in range(1, values.shape[0] + 1):
+            rows = [values[i - 1, k]] if values.ndim == 3 else values[i - 1, k]
+            for l, row in enumerate(rows, start=1):
+                label = f"{k},{i}," if values.ndim == 3 else f"{k},{i},{l},"
+                out.append(label + ",".join(repr(float(v)) for v in row))
+    return out
+
+
+def held_table(shape):
+    """A step table with runs of held rows, 0.0 <-> -0.0 flips, NaN and infinities."""
+    rng = np.random.default_rng(7)
+    palette = np.array([0.0, -0.0, 1.5, -2.25e-300, 1e308, np.nan, np.inf, -np.inf])
+    t = palette[rng.integers(len(palette), size=shape)]
+    for k in range(1, shape[1]):
+        held = rng.random(shape[:1] + shape[2:-1]) < 0.6
+        t[:, k][held] = t[:, k - 1][held]
+    if shape[1] >= 3:
+        # rows whose only change is the sign of a zero: equal under ==, not in bits
+        t[0, :3] = 1.5
+        t[0, 1, ..., 0] = -0.0
+        t[0, 0, ..., 0] = t[0, 2, ..., 0] = 0.0
+    return t
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(3, 12, 4), (2, 10, 3, 2), (2, 1, 3), (2, 1, 2, 3), (1, 6, 1)],
+    ids=["3d", "4d", "3d_one_step", "4d_one_step", "one_cell"],
+)
+def test_step_rows_match_a_fresh_formatter(shape):
+    values = held_table(shape)
+    assert list(harness.step_rows(values)) == ref_step_rows(values)
+    # a non-contiguous view, as a sliced table would be
+    wide = np.repeat(values, 2, axis=-1)[..., ::2]
+    assert list(harness.step_rows(wide)) == ref_step_rows(values)

@@ -157,6 +157,21 @@ class TestStacking:
             assert got_adj.tobytes() == want_adj.tobytes()
             assert (got_det == 0.0) == singular
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_extend_leaves_a_read_only_view_alone(self, d):
+        # the table build passes reversed window views of the regressor table,
+        # which stack_regressors hands back uncopied
+        table = np.random.default_rng(10 + d).normal(size=(d + 2, d)).round(3)
+        table.flags.writeable = False
+        before = table.tobytes()
+        window = table[::-1][1 : d + 1]
+        assert stack_regressors(window) is window
+        (got_det, got_adj), (want_det, want_adj) = extend(window), extend(window.copy())
+        assert np.float64(got_det).tobytes() == np.float64(want_det).tobytes()
+        assert got_adj.tobytes() == want_adj.tobytes()
+        assert not np.shares_memory(got_adj, table)
+        assert table.tobytes() == before
+
 
 class TestMix:
     def test_hand_case_recovers_scaled_parameter(self):

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from dremnet.excitation import (
+    MARGIN_REL_TOL,
     DeltaTrace,
     find_certificate,
     local_pe_check,
     single_sensor_pe,
 )
-from dremnet.topology import StaticGraph, ring
+from dremnet.topology import StaticGraph, neighborhood_index, neighborhood_values, ring
 
 from test_harness import delta_traces
 
@@ -195,3 +196,47 @@ class TestBuiltinScenario:
             if H > 1:
                 below = local_pe_check(sec5_trace, sec5.graph, H - 1, omega=1.0)
                 assert not below.satisfied[i - 1]
+
+
+def per_window_search(trace, g, omega, max_h, horizon):
+    """Reference for find_certificate: each H rebuilds the neighborhood sums and scans them.
+
+    Returns the certified H per sensor and, per H tried, the margins. Window
+    sums add their H steps in ascending t from 0.0, as the scanner does.
+    """
+    top = min(max_h, max(horizon, 1))
+    found = {i: None for i in range(1, trace.n + 1)}
+    margins = {}
+    for H in range(1, top + 1):
+        index = neighborhood_index(g, horizon)
+        members = neighborhood_values(index, trace.values[:, :horizon] ** 2)
+        sums = np.zeros((trace.n, horizon))
+        for p in range(index.shape[2]):
+            sums += members[:, :, p]
+        start = min(trace.d - 1, horizon - H)
+        margins[H] = []
+        for row in sums:
+            w = np.zeros(horizon - H + 1 - start)
+            for t in range(start, start + H):
+                w += row[t : t + len(w)]
+            margins[H].append(float(w.min()))
+        for i, m in enumerate(margins[H], start=1):
+            if found[i] is None and m >= omega * (1.0 - MARGIN_REL_TOL):
+                found[i] = H
+        if all(h is not None for h in found.values()):
+            break
+    return found, margins
+
+
+@pytest.mark.parametrize("edgeless", [False, True], ids=["own_graph", "edgeless"])
+@pytest.mark.parametrize("name, horizon", [("sec5", 300), ("periodic_d3", 40), ("table_d5", 40)])
+def test_find_certificate_matches_per_window_search(name, horizon, edgeless, request):
+    s = request.getfixturevalue(name)
+    g = StaticGraph(s.n, ()) if edgeless else s.graph
+    trace = delta_traces(s, horizon)
+    for omega in (1.0, 25.0):
+        want, margins = per_window_search(trace, g, omega, 8, horizon)
+        assert find_certificate(trace, g, omega, 8, horizon) == want
+        for H, ref in margins.items():
+            got = local_pe_check(trace, g, H, omega, horizon).margin
+            assert np.array(got).tobytes() == np.array(ref).tobytes()

@@ -1,0 +1,76 @@
+"""Print the SHA-256 of every CSV the command line writes on sec5, as one JSON line.
+
+    python tools/output_digests.py --steps 1000
+
+Runs ``run``, ``mc --workers 1``, ``mc --workers 2``, ``oracle``,
+``compare --out`` and ``check-pe`` on the builtin sec5 scenario in a
+temporary directory, importing the package from ``src/`` beside this
+directory. Two checkouts that print the same line write the same bytes. The
+Monte Carlo commands use three chunks of runs, so two workers really split
+them; the exit status is 1 when the two ``mc`` digests differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from dremnet.cli import main as cli  # noqa: E402
+from dremnet.harness import CHUNK_RUNS  # noqa: E402
+
+RUNS = 2 * CHUNK_RUNS + 1
+
+
+def commands(steps: int) -> dict[str, list[str]]:
+    """Output name -> CLI arguments, without ``--out``."""
+    common = ["--scenario", "sec5", "--steps", str(steps)]
+    mc = ["mc", *common, "--runs", str(RUNS), "--seed", "3"]
+    return {
+        "run": ["run", *common, "--seed", "7"],
+        "mc_workers1": [*mc, "--workers", "1"],
+        "mc_workers2": [*mc, "--workers", "2"],
+        "oracle": ["oracle", *common],
+        "compare": ["compare", *common, "--runs", "300", "--seed", "5", "--at", f"0,{steps}"],
+        "check_pe": ["check-pe", *common],
+    }
+
+
+def digests(steps: int) -> dict[str, str]:
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in commands(steps).items():
+            path = Path(tmp) / f"{name}.csv"
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                status = cli([*argv, "--out", str(path)])
+            # check-pe exits 1 on a failed audit, as on a horizon too short to certify
+            if status not in (0, 1) or not path.exists():
+                raise SystemExit(f"{' '.join(argv)} exited with status {status} and no output")
+            out[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--steps", type=int, default=1000, help="horizon of every command")
+    args = parser.parse_args()
+    if args.steps < 1:
+        parser.error(f"--steps must be positive, got {args.steps}")
+    out = digests(args.steps)
+    print(json.dumps({"steps": args.steps, **out}, sort_keys=True))
+    if out["mc_workers1"] != out["mc_workers2"]:
+        print("mc output differs between one and two workers", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
