@@ -586,7 +586,7 @@ def _chunk_sums(args: tuple[Scenario, StepTables, tuple[int, ...]]) -> tuple[np.
     y = np.empty((n, m, K))
     for r, nm in enumerate(_noise_models(s.variances, seeds)):
         for j in range(1, n + 1):
-            y[j - 1, r] = tables.y_det[j - 1] + noise_block(nm, j, K)
+            np.add(tables.y_det[j - 1], noise_block(nm, j, K), out=y[j - 1, r])
     # per sensor, the steps of its effective updates in order. After its
     # last update a sensor points at the last step with zero deltas: those
     # passes leave it as it was, and its sums never read them anyway
@@ -612,7 +612,10 @@ def _chunk_sums(args: tuple[Scenario, StepTables, tuple[int, ...]]) -> tuple[np.
     inv = inv.reshape(passes, n, senders.shape[2]) - bounds[:-1, None, None]
     msg_sender, msg_step = msgs // K % n, msgs % K
     msg_adj = tables.adj[msg_sender, msg_step]
-    th = np.repeat(s.theta_hat0[:, None, :], m, axis=1)  # (n, m, d)
+    # the state is (n, d, m), runs innermost, so every broadcast runs along
+    # the m runs and each sum over the runs is numpy's pairwise sum along a
+    # contiguous axis
+    th = np.repeat(s.theta_hat0[:, :, None], m, axis=2)
     ev_err = np.empty((passes + 1, n))  # the sums after t passes
     ev_tilde = np.empty((passes + 1, n, d))
     ev_m2 = np.empty((passes + 1, n, d))
@@ -620,21 +623,21 @@ def _chunk_sums(args: tuple[Scenario, StepTables, tuple[int, ...]]) -> tuple[np.
         if t > 0:
             e, lo, hi = t - 1, bounds[t - 1], bounds[t]
             js, ks = msg_sender[lo:hi], msg_step[lo:hi]
-            ybar = np.zeros((hi - lo, m, d))
+            ybar = np.zeros((hi - lo, d, m))
             for r in range(d):
-                ybar += y[js, :, ks - r, None] * msg_adj[lo:hi, None, :, r]
-            num = np.zeros((n, m, d))
+                ybar += y[js, :, ks - r][:, None, :] * msg_adj[lo:hi, :, r, None]
+            num = np.zeros((n, d, m))
             for p in range(inv.shape[2]):
                 dlt = deltas[:, e, p, None, None]
                 num += dlt * (ybar[inv[e, :, p]] - dlt * th)
             th = th + (alpha[:, e] * num) / den[:, e]
         # each sum starts from +0.0, so an all -0.0 sum reads +0.0
-        tilde = th - s.theta
-        tot = tilde.sum(axis=1)
-        dev = tilde - (tot / m)[:, None, :]
+        tilde = th - s.theta[:, None]
+        tot = tilde.sum(axis=2)
+        dev = tilde - (tot / m)[:, :, None]
         ev_tilde[t] = 0.0 + tot
-        ev_m2[t] = 0.0 + (dev * dev).sum(axis=1)
-        ev_err[t] = 0.0 + _channel_norm(tilde).sum(axis=1)
+        ev_m2[t] = 0.0 + (dev * dev).sum(axis=2)
+        ev_err[t] = 0.0 + _channel_norm(tilde.transpose(0, 2, 1)).sum(axis=1)
     # each sensor's count of effective updates before step k picks its sums
     done = np.concatenate([np.zeros((n, 1), dtype=np.intp), np.cumsum(eff, axis=1)], axis=1)
     return ev_err[done, rows], ev_tilde[done, rows], ev_m2[done, rows]

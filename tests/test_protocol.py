@@ -56,10 +56,11 @@ def ref_chunk_sums(s, tables, seeds):
 
     def accumulate(k):
         tilde = th - s.theta[None, None, :]
-        tot = tilde.sum(axis=1)
+        # each channel's runs summed contiguously, numpy's pairwise sum
+        tot = np.ascontiguousarray(tilde.transpose(0, 2, 1)).sum(axis=2)
         dev = tilde - (tot / m)[:, None, :]
         sum_tilde[:, k] += tot
-        m2[:, k] += (dev * dev).sum(axis=1)
+        m2[:, k] += np.ascontiguousarray((dev * dev).transpose(0, 2, 1)).sum(axis=2)
         sum_err[:, k] += _channel_norm(tilde).sum(axis=1)
         changed[k] = True
 
