@@ -9,9 +9,9 @@ sequence produced by a per-sensor generator, and v_i(k) is zero-mean i.i.d.
 Gaussian noise with per-sensor variance R_i.
 
 Noise draws are a pure function of (seed, sensor, k): each (seed, sensor)
-pair keys a Philox counter-based stream and k selects the counter block, so
-Monte Carlo workers can evaluate steps in any order and still reproduce the
-exact same values.
+pair keys a Philox counter-based stream, and draw k comes from counter
+k // 4, whose four words make two Box-Muller pairs, so Monte Carlo workers
+can evaluate steps in any order and still reproduce the exact same values.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ __all__ = [
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
+_ANGLE = 2.0 * math.pi * _INV_2_53  # exact, so w * _ANGLE rounds as 2*pi * (w * 2**-53)
 
 
 def _finite(values, what: str, positive: bool = False) -> tuple[float, ...]:
@@ -188,14 +189,16 @@ class NoiseModel:
     """Per-sensor Gaussian noise variances plus the run seed.
 
     Each sensor's Philox key is derived on first use, all n at once, and
-    kept on the instance (ignored by ==, hash and repr). Draws use one
-    generator per thread, reset in full before each use, so one model may
-    be drawn from in several threads at once.
+    kept on the instance, as is, per sensor, the (counter, draws) block that
+    :func:`sample_noise` read last; ==, hash and repr ignore both. Draws use
+    one generator per thread, reset in full before each use, so one model
+    may be drawn from in several threads at once.
     """
 
     variances: tuple[float, ...]
     seed: int
     _keys: Optional[list] = field(default=None, init=False, repr=False, compare=False)
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variances", _finite(self.variances, "noise variance"))
@@ -253,11 +256,12 @@ def _seed_keys(seeds, sensors) -> np.ndarray:
 
 
 def _noise_models(variances: tuple[float, ...], seeds) -> list[NoiseModel]:
-    """One NoiseModel per seed, every sensor's key derived in one pass for all."""
+    """One NoiseModel per seed, the variances checked once and every sensor's key derived in one pass."""
+    checked = NoiseModel(variances=variances, seed=0).variances
     models = []
     for seed, keys in zip(seeds, _seed_keys(seeds, range(1, len(variances) + 1)).tolist()):
-        nm = NoiseModel(variances=variances, seed=seed)
-        object.__setattr__(nm, "_keys", keys)
+        nm = object.__new__(NoiseModel)
+        vars(nm).update(variances=checked, seed=seed, _keys=keys, _blocks={})
         models.append(nm)
     return models
 
@@ -280,7 +284,7 @@ _local = threading.local()
 
 
 def _stream(model: NoiseModel, sensor: int, k: int) -> np.random.Philox:
-    """This thread's generator, reset in full (key, counter, buffer) to block k of sensor's stream.
+    """This thread's generator, reset in full (key, counter, buffer) to counter k of sensor's stream.
 
     A Philox stream is a pure function of (key, counter), so the reset
     generator gives the words that a fresh one would.
@@ -296,6 +300,24 @@ def _stream(model: NoiseModel, sensor: int, k: int) -> np.random.Philox:
     return raw
 
 
+def _normals(model: NoiseModel, sensor: int, first_counter: int, counters: int) -> np.ndarray:
+    """Draws 4c, ..., 4(c + counters) - 1 of sensor's stream, c = first_counter: the one Box-Muller transform.
+
+    Words 2q and 2q+1 give draws 2q and 2q+1 as r*cos and r*sin of one pair,
+    u1 lies in (0, 1] so the log never sees zero, and sigma multiplies last.
+    log, cos and sin read contiguous arrays, so a draw rounds alike in any block.
+    """
+    words = _stream(model, sensor, first_counter).random_raw(4 * counters) >> np.uint64(11)
+    u1, u2 = words.reshape(-1, 2).T.astype(np.float64, order="C")  # one entry per pair
+    radius = np.sqrt(-2.0 * np.log((u1 + 1.0) * _INV_2_53))
+    angle = u2 * _ANGLE
+    trig = np.empty((2, 2 * counters))
+    np.cos(angle, out=trig[0])
+    np.sin(angle, out=trig[1])
+    trig *= radius
+    return (trig.T * math.sqrt(model.variances[sensor - 1])).reshape(-1)
+
+
 def noise_block(model: NoiseModel, sensor: int, steps: int) -> np.ndarray:
     """All draws v(0), ..., v(steps-1) for one sensor in a single pass.
 
@@ -305,33 +327,24 @@ def noise_block(model: NoiseModel, sensor: int, steps: int) -> np.ndarray:
     _check_sensor(model, sensor)
     if steps <= 0:
         return np.zeros(0)
-    words = _stream(model, sensor, 0).random_raw(4 * steps).reshape(steps, 4)
-    # Box-Muller on the top 53 bits of two Philox words; u1 is kept in (0, 1]
-    # so the log never sees zero
-    u1 = ((words[:, 0] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
-    u2 = (words[:, 1] >> np.uint64(11)).astype(np.float64) * _INV_2_53
-    sigma = math.sqrt(model.variances[sensor - 1])
-    return sigma * (np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2))
+    return _normals(model, sensor, 0, -(-steps // 4))[:steps]
 
 
 def sample_noise(model: NoiseModel, sensor: int, k: int) -> float:
     """One Gaussian draw v_sensor(k), deterministic in (seed, sensor, k).
 
-    Every draw resets this thread's generator, so draws may come in any
-    order, interleaved with :func:`noise_block`, from any thread.
+    Reads draw k & 3 of counter k // 4's block, kept per sensor until another
+    replaces it. Blocks come from this thread's fully reset generator, so draws
+    may come in any order, interleaved with :func:`noise_block`, from any thread.
     """
     _check_sensor(model, sensor)
     if k < 0:
         raise ValueError(f"time step must be >= 0, got {k}")
-    w0, w1 = _stream(model, sensor, k).random_raw(2).tolist()
-    # noise_block's Box-Muller on floats: the int-to-float steps are exact, and
-    # log and cos stay numpy's so that they round as there
-    u1 = (float(w0 >> 11) + 1.0) * _INV_2_53
-    u2 = float(w1 >> 11) * _INV_2_53
-    (log_u1,) = np.log([u1]).tolist()
-    (cos_u2,) = np.cos([2.0 * math.pi * u2]).tolist()
-    sigma = math.sqrt(model.variances[sensor - 1])
-    return sigma * (math.sqrt(-2.0 * log_u1) * cos_u2)
+    counter = k >> 2
+    block = model._blocks.get(sensor)
+    if block is None or block[0] != counter:
+        block = model._blocks[sensor] = (counter, tuple(_normals(model, sensor, counter, 1).tolist()))
+    return block[1][k & 3]
 
 
 def measure(theta: np.ndarray, phi: np.ndarray, noise: float) -> float:

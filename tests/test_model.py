@@ -30,6 +30,25 @@ def recursion_oracle(initial, angle_step, steps):
     return vals
 
 
+def reference_draws(seed, sensor, variance, counters):
+    """Draws 0 .. 4*counters - 1 of (seed, sensor), rebuilt with scalar math from fresh generators.
+
+    Counter c's four words w0..w3 give sigma*(r*cos t) and sigma*(r*sin t)
+    for the pair (w0, w1), then for (w2, w3), with r = sqrt(-2 log u1),
+    t = 2 pi u2, u1 = ((w >> 11) + 1) 2**-53 and u2 = (w >> 11) 2**-53.
+    """
+    key = np.random.SeedSequence((seed % 2**64, sensor)).generate_state(2, np.uint64)
+    sigma = math.sqrt(variance)
+    out = []
+    for c in range(counters):
+        words = np.random.Philox(key=key, counter=c).random_raw(4).tolist()
+        for w1, w2 in (words[0:2], words[2:4]):
+            r = math.sqrt(-2.0 * math.log(((w1 >> 11) + 1) * 2.0**-53))
+            t = 2.0 * math.pi * ((w2 >> 11) * 2.0**-53)
+            out += [sigma * (r * math.cos(t)), sigma * (r * math.sin(t))]
+    return np.array(out)
+
+
 class TestPeriodicList:
     def test_alternates(self):
         gen = PeriodicList(vectors=((2.0, 3.0), (1.0, 2.0)))
@@ -271,12 +290,38 @@ class TestNoCoercion:
 
 class TestNoise:
     def test_deterministic_in_seed_sensor_step(self):
+        # frozen values of reference_draws(123, sensor, 1.0, 1)
         nm = NoiseModel(variances=(1.0, 1.0), seed=123)
         assert sample_noise(nm, 1, 7) == sample_noise(nm, 1, 7)
         assert sample_noise(nm, 1, 0) == 1.1327150565629187
-        assert sample_noise(nm, 1, 1) == 0.16550969813775063
-        assert sample_noise(nm, 1, 2) == 0.5025508128405565
+        assert sample_noise(nm, 1, 1) == 0.002442381632358347
+        assert sample_noise(nm, 1, 2) == -0.30304248948425055
         assert sample_noise(nm, 2, 0) == 1.1587238651692284
+
+    @pytest.mark.parametrize("seed, variance", [(123, 1.0), (2**40 + 3, 0.37), (-9, 2.5), (0, 0.0)])
+    def test_matches_scalar_reference(self, seed, variance):
+        # libm and numpy's vector loops may round log, cos and sin one unit
+        # apart, so the comparison is relative, not in bits
+        nm = NoiseModel(variances=(variance, variance, variance), seed=seed)
+        for sensor in (1, 3):
+            want = reference_draws(seed, sensor, variance, 300)
+            np.testing.assert_allclose(noise_block(nm, sensor, 1200), want, rtol=1e-14, atol=0.0)
+            singles = [sample_noise(nm, sensor, k) for k in (0, 1, 2, 3, 4, 599, 1199)]
+            np.testing.assert_allclose(singles, want[[0, 1, 2, 3, 4, 599, 1199]], rtol=1e-14, atol=0.0)
+
+    def test_blocks_are_prefixes(self):
+        nm = NoiseModel(variances=(1.0, 0.5), seed=17)
+        for sensor in (1, 2):
+            longer = noise_block(nm, sensor, 64)
+            for j in range(1, 10):
+                assert noise_block(nm, sensor, j).tobytes() == longer[:j].tobytes(), (sensor, j)
+
+    def test_box_muller_partners(self):
+        # v(2p) and v(2p+1) are r*cos and r*sin of one pair: uncorrelated,
+        # and their squares add to r**2, whose mean is 2
+        pairs = noise_block(NoiseModel(variances=(1.0,), seed=31), 1, 200_000).reshape(-1, 2)
+        assert abs(np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]) < 0.02
+        assert abs((pairs * pairs).sum(axis=1).mean() - 2.0) < 0.03
 
     def test_block_equals_single_draws(self):
         # bit for bit, signed zeros included, over whole horizons
@@ -320,6 +365,27 @@ class TestNoise:
                 after += [sample_noise(drawn, sensor, k) for k in range(20)]
             assert after == before
         assert noise_block(clone, 1, 20).tobytes() == np.array(before[:20]).tobytes()
+
+    def test_kept_blocks_in_reverse_order(self):
+        # each sensor keeps its last block: walking counters backwards, with
+        # the sensors interleaved, replaces it at every counter
+        variances = (1.0, 0.5, 2.0)
+        want = {sensor: noise_block(NoiseModel(variances=variances, seed=12), sensor, 40) for sensor in (1, 2, 3)}
+        nm = NoiseModel(variances=variances, seed=12)
+        for k in range(39, -1, -1):
+            for sensor in (3, 1, 2):
+                assert sample_noise(nm, sensor, k) == want[sensor][k], (sensor, k)
+        assert len(nm._blocks) == 3 and all(counter == 0 for counter, _ in nm._blocks.values())
+
+    def test_kept_blocks_are_invisible(self):
+        drawn = NoiseModel(variances=(1.0, 0.5), seed=4)
+        fresh = NoiseModel(variances=(1.0, 0.5), seed=4)
+        sample_noise(drawn, 1, 5)
+        sample_noise(drawn, 2, 9)
+        assert drawn._blocks and not fresh._blocks
+        assert drawn == fresh and hash(drawn) == hash(fresh) and repr(drawn) == repr(fresh)
+        assert repr(drawn) == "NoiseModel(variances=(1.0, 0.5), seed=4)"
+        assert drawn != NoiseModel(variances=(1.0, 0.5), seed=5)
 
     def test_threads_share_a_model(self):
         # each thread resets its own generator, so draws from one shared model
@@ -424,6 +490,16 @@ class TestSeedKeys:
             lone = NoiseModel(variances=(1.0, 2.0, 0.5), seed=nm.seed)
             assert [model._philox_key(lone, i) for i in (1, 2, 3)] == nm._keys
             assert nm == lone and noise_block(nm, 3, 9).tobytes() == noise_block(lone, 3, 9).tobytes()
+            # built without the constructor, yet with every field a lone model has
+            assert vars(nm).keys() == vars(lone).keys() and nm._blocks == {} and nm._blocks is not lone._blocks
+
+    def test_batch_models_check_variances_once(self):
+        with pytest.raises(ValueError, match="R_2 must be >= 0"):
+            model._noise_models((1.0, -2.0), [1, 2])
+        with pytest.raises(ValueError, match="must be a number"):
+            model._noise_models((1.0, "2"), [1, 2])
+        (nm,) = model._noise_models((1, np.float32(0.5)), [3])
+        assert nm.variances == (1.0, 0.5) and all(type(v) is float for v in nm.variances)
 
 
 class TestMeasure:

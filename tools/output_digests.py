@@ -7,7 +7,10 @@ Runs ``run``, ``mc --workers 1``, ``mc --workers 2``, ``oracle``,
 temporary directory, importing the package from ``src/`` beside this
 directory. Two checkouts that print the same line write the same bytes. The
 Monte Carlo commands use three chunks of runs, so two workers really split
-them; the exit status is 1 when the two ``mc`` digests differ.
+them. ``noise`` digests the bytes of 1000 ``noise_block`` draws of sec5's
+sensor 1 under seed 7, so a change to the noise stream shows under its own
+name. The exit status is 1 when the two ``mc`` digests differ, or when those
+draws differ from 1000 ``sample_noise`` calls.
 """
 
 from __future__ import annotations
@@ -21,13 +24,17 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from dremnet.cli import main as cli  # noqa: E402
-from dremnet.harness import CHUNK_RUNS  # noqa: E402
+from dremnet.harness import CHUNK_RUNS, load_scenario  # noqa: E402
+from dremnet.model import NoiseModel, noise_block, sample_noise  # noqa: E402
 
 RUNS = 2 * CHUNK_RUNS + 1
+DRAWS = 1000
 
 
 def commands(steps: int) -> dict[str, list[str]]:
@@ -58,6 +65,15 @@ def digests(steps: int) -> dict[str, str]:
     return out
 
 
+def noise_draws() -> tuple[bytes, bytes]:
+    """The bytes of sec5 sensor 1's first DRAWS draws under seed 7: as one block, and one draw at a time."""
+    variances = load_scenario("sec5").variances
+    block = noise_block(NoiseModel(variances=variances, seed=7), 1, DRAWS)
+    nm = NoiseModel(variances=variances, seed=7)
+    singles = np.array([sample_noise(nm, 1, k) for k in range(DRAWS)])
+    return block.tobytes(), singles.tobytes()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--steps", type=int, default=1000, help="horizon of every command")
@@ -65,11 +81,17 @@ def main() -> int:
     if args.steps < 1:
         parser.error(f"--steps must be positive, got {args.steps}")
     out = digests(args.steps)
+    block, singles = noise_draws()
+    out["noise"] = hashlib.sha256(block).hexdigest()
     print(json.dumps({"steps": args.steps, **out}, sort_keys=True))
+    status = 0
     if out["mc_workers1"] != out["mc_workers2"]:
         print("mc output differs between one and two workers", file=sys.stderr)
-        return 1
-    return 0
+        status = 1
+    if block != singles:
+        print(f"{DRAWS} noise_block draws differ from {DRAWS} sample_noise calls", file=sys.stderr)
+        status = 1
+    return status
 
 
 if __name__ == "__main__":
