@@ -612,9 +612,8 @@ def _chunk_sums(args: tuple[Scenario, StepTables, tuple[int, ...]]) -> tuple[np.
     inv = inv.reshape(passes, n, senders.shape[2]) - bounds[:-1, None, None]
     msg_sender, msg_step = msgs // K % n, msgs % K
     msg_adj = tables.adj[msg_sender, msg_step]
-    # the state is (n, d, m), runs innermost, so every broadcast runs along
-    # the m runs and each sum over the runs is numpy's pairwise sum along a
-    # contiguous axis
+    # state (n, d, m), runs innermost: broadcasts run along the m runs, and
+    # each sum over the runs is numpy's pairwise sum along a contiguous axis
     th = np.repeat(s.theta_hat0[:, :, None], m, axis=2)
     ev_err = np.empty((passes + 1, n))  # the sums after t passes
     ev_tilde = np.empty((passes + 1, n, d))
