@@ -11,8 +11,8 @@ That neighborhood sum is what the gated update actually normalizes by, so a
 sensor whose own delta_bar vanishes identically can still be served by an
 excited in-neighbor. On the graph with no edges each neighborhood is the
 sensor alone, so the one scan also gives the single-sensor notion.
-Certificates here are horizon-certified: the scan covers a finite trace,
-with windows starting after the transform's warm-up.
+Certificates here are horizon-certified: a scan covers the whole finite
+trace it is given, with windows starting after the transform's warm-up.
 """
 
 from __future__ import annotations
@@ -42,10 +42,11 @@ MARGIN_REL_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class DeltaTrace:
-    """Per-sensor delta_bar traces on steps 0..K, as an (n, K+1) array.
+    """Per-sensor delta_bar traces on steps 0..steps-1, as an (n, steps) array.
 
-    ``d`` is the regressor dimension that produced the traces; window scans
-    start at d-1, the first step with a full stacking window.
+    The trace length is the horizon of every scan over it. ``d`` is the
+    regressor dimension that produced the traces; window scans start at
+    d-1, the first step with a full stacking window.
     """
 
     values: np.ndarray
@@ -94,10 +95,8 @@ def _window_margin(step_sums: np.ndarray, H: int, start: int, horizon: int) -> f
     return float(w.min())
 
 
-def _step_sums(
-    trace: DeltaTrace, g: GraphSchedule, H: int, omega: float, horizon: Optional[int]
-) -> np.ndarray:
-    """Each sensor's closed-neighborhood sum of squared traces per step, (n, horizon).
+def _step_sums(trace: DeltaTrace, g: GraphSchedule, H: int, omega: float) -> np.ndarray:
+    """Each sensor's closed-neighborhood sum of squared traces per step, (n, steps).
 
     Checks the arguments of an H-window scan; the sums do not depend on H.
     """
@@ -105,17 +104,13 @@ def _step_sums(
         raise ValueError(f"window length must be positive, got {H}")
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError(f"omega must be finite and positive, got {omega}")
-    if horizon is None:
-        horizon = trace.steps
-    if horizon < H:
-        raise ValueError(f"horizon {horizon} is shorter than the window H={H}")
-    if horizon > trace.steps:
-        raise ValueError(f"horizon {horizon} exceeds the trace length {trace.steps}")
+    if trace.steps < H:
+        raise ValueError(f"horizon {trace.steps} is shorter than the window H={H}")
     if g.n != trace.n:
         raise ValueError(f"graph has {g.n} sensors but the trace has {trace.n}")
-    index = neighborhood_index(g, horizon)
-    members = neighborhood_values(index, trace.values[:, :horizon] ** 2)
-    step_sums = np.zeros((trace.n, horizon))
+    index = neighborhood_index(g, trace.steps)
+    members = neighborhood_values(index, trace.values**2)
+    step_sums = np.zeros((trace.n, trace.steps))
     for p in range(index.shape[2]):
         step_sums += members[:, :, p]
     return step_sums
@@ -134,57 +129,52 @@ def _certify(step_sums: np.ndarray, d: int, H: int, omega: float) -> PeCertifica
     )
 
 
-def local_pe_check(
-    trace: DeltaTrace,
-    g: GraphSchedule,
-    H: int,
-    omega: float,
-    horizon: Optional[int] = None,
-) -> PeCertificate:
+def local_pe_check(trace: DeltaTrace, g: GraphSchedule, H: int, omega: float) -> PeCertificate:
     """Scan every sensor's neighborhood-summed squared trace over H-windows.
 
-    Windows start at d-1 (end of warm-up) and the last one ends at
-    horizon-1. Returns per-sensor margins and the slacked omega comparison.
+    Windows start at d-1 (end of warm-up) and the last one ends at the
+    trace's last step. Returns per-sensor margins and the slacked omega
+    comparison.
     """
-    return _certify(_step_sums(trace, g, H, omega, horizon), trace.d, H, omega)
+    return _certify(_step_sums(trace, g, H, omega), trace.d, H, omega)
 
 
-def single_sensor_pe(
-    trace: DeltaTrace,
-    sensor: int,
-    H: int,
-    omega: float,
-    horizon: Optional[int] = None,
-) -> tuple[bool, float]:
+def single_sensor_pe(trace: DeltaTrace, sensor: int, H: int, omega: float) -> tuple[bool, float]:
     """The windowed scan of one sensor's own trace: its entry of the check on the edgeless graph.
 
     Returns (satisfied, margin).
     """
     if not 1 <= sensor <= trace.n:
         raise ValueError(f"sensor id {sensor} out of range for n={trace.n}")
-    cert = local_pe_check(trace, StaticGraph(trace.n, ()), H, omega, horizon)
+    cert = local_pe_check(trace, StaticGraph(trace.n, ()), H, omega)
     return cert.satisfied[sensor - 1], cert.margin[sensor - 1]
 
 
-def find_certificate(
-    trace: DeltaTrace,
-    g: GraphSchedule,
-    omega: float,
-    max_h: int,
-    horizon: Optional[int] = None,
-) -> dict[int, Optional[int]]:
-    """Smallest H <= min(max_h, horizon) certifying each sensor at level omega, else None."""
+def _search(
+    trace: DeltaTrace, g: GraphSchedule, omega: float, max_h: int
+) -> tuple[dict[int, Optional[int]], dict[int, float]]:
+    """Each sensor's smallest certifying H <= min(max_h, steps), else None, and its margin there.
+
+    A sensor that no H certifies takes its margin at the largest H tried.
+    """
     if max_h < 1:
         raise ValueError(f"max_h must be positive, got {max_h}")
-    # H = 1 is always tried, so a zero horizon raises
-    top = min(max_h, max(trace.steps if horizon is None else horizon, 1))
+    # H = 1 is always tried, so an empty trace raises
+    top = min(max_h, max(trace.steps, 1))
     found: dict[int, Optional[int]] = {i: None for i in range(1, trace.n + 1)}
-    step_sums = _step_sums(trace, g, 1, omega, horizon)  # one neighborhood scan for every H
+    margin: dict[int, float] = {}
+    step_sums = _step_sums(trace, g, 1, omega)  # one neighborhood scan for every H
     for H in range(1, top + 1):
         cert = _certify(step_sums, trace.d, H, omega)
         for i in range(1, trace.n + 1):
-            if found[i] is None and cert.satisfied[i - 1]:
-                found[i] = H
+            if found[i] is None:
+                margin[i] = cert.margin[i - 1]
+                found[i] = H if cert.satisfied[i - 1] else None
         if all(v is not None for v in found.values()):
             break
-    return found
+    return found, margin
+
+
+def find_certificate(trace: DeltaTrace, g: GraphSchedule, omega: float, max_h: int) -> dict[int, Optional[int]]:
+    """Smallest H <= min(max_h, steps) certifying each sensor at level omega, else None."""
+    return _search(trace, g, omega, max_h)[0]

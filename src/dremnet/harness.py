@@ -34,7 +34,7 @@ from .estimator import (
     schedule_violations,
     step_size,
 )
-from .excitation import DeltaTrace, find_certificate, local_pe_check
+from .excitation import DeltaTrace, _search, find_certificate
 from .model import (
     Constant,
     CustomTable,
@@ -103,10 +103,11 @@ def _steps(horizon) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Everything a run needs; immutable and picklable for worker pools."""
+    """Everything a run needs; immutable and picklable for worker pools.
 
-    n: int
-    d: int
+    The sensor count n is the graph's, and the dimension d is theta's length.
+    """
+
     theta: np.ndarray
     generators: tuple[RegressorGenerator, ...]
     variances: tuple[float, ...]
@@ -116,6 +117,14 @@ class Scenario:
     theta_hat0: np.ndarray
     horizon: int
 
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
+    @property
+    def d(self) -> int:
+        return len(self.theta)
+
     def __post_init__(self):
         # the number and horizon checks below raise ValueError; report those too
         try:
@@ -124,14 +133,10 @@ class Scenario:
             raise ScenarioError(str(e)) from None
 
     def _check(self):
-        if self.n < 1:
-            raise ScenarioError(f"n must be at least 1, got {self.n}")
-        if self.d < 1:
-            raise ScenarioError(f"d must be at least 1, got {self.d}")
         theta = _floats(self.theta, "theta")
         object.__setattr__(self, "theta", theta)
-        if theta.shape != (self.d,):
-            raise ScenarioError(f"theta must have shape ({self.d},), got {theta.shape}")
+        if theta.ndim != 1 or not theta.size:
+            raise ScenarioError(f"theta must be a non-empty vector, got shape {theta.shape}")
         if len(self.generators) != self.n:
             raise ScenarioError(f"generators: expected {self.n} entries, got {len(self.generators)}")
         for i, gen in enumerate(self.generators, start=1):
@@ -156,16 +161,12 @@ class Scenario:
         if th0.shape != (self.n, self.d):
             raise ScenarioError(f"theta_hat0 must have shape ({self.n}, {self.d}), got {th0.shape}")
         object.__setattr__(self, "horizon", _steps(self.horizon))
-        if self.graph.n != self.n:
-            raise ScenarioError(f"graph: n={self.graph.n} does not match scenario n={self.n}")
 
 
 def _sec5() -> Scenario:
     # four-sensor directed-ring benchmark: one periodic sensor, two cosine
     # random-walk sensors, and one constant (individually unexcited) sensor
     return Scenario(
-        n=4,
-        d=2,
         theta=np.array([2.5, -1.0]),
         generators=(
             PeriodicList(vectors=((2.0, 3.0), (1.0, 2.0))),
@@ -301,8 +302,6 @@ def _scenario_from_config(cfg: dict) -> Scenario:
     schedule = _build(est["step"], "estimator.step", "estimator.step")
     n, d = graph.n, len(theta)
     return Scenario(
-        n=n,
-        d=d,
         theta=theta,
         generators=generators,
         variances=tuple(model["noise"]),
@@ -460,7 +459,6 @@ class RunResult:
     error_norm: np.ndarray  # (n, K+1)
     effective: np.ndarray   # (n, K) bool
     counters: np.ndarray    # (n, K+1) int
-    payload_size: int
     payload_total: int
 
 
@@ -543,7 +541,6 @@ def run_single(s: Scenario, seed: int, horizon: Optional[int] = None) -> RunResu
         error_norm=_channel_norm(traj - s.theta),
         effective=np.array(eff, dtype=bool).reshape(n, K),
         counters=np.array(counts, dtype=np.int64).reshape(n, K + 1),
-        payload_size=d + 1,
         payload_total=payload_total,
     )
 
@@ -805,15 +802,12 @@ def check_scenario(
         if not math.isfinite(b):
             problems.append(f"sensor {i}: regressor sequence is unbounded")
     trace = DeltaTrace(values=tables.delta, d=s.d)
-    pe_h = find_certificate(trace, s.graph, omega, h_max, K)
-    # one scan per distinct window: the certified H, or without one the
-    # longest window tried, which is never longer than the horizon
+    # margins at the certified H, or without one at the longest window tried,
+    # which is never longer than the horizon
+    pe_h, pe_margin = _search(trace, s.graph, omega, h_max)
     h_top = min(h_max, K)
-    window = {i: h or h_top for i, h in pe_h.items()}
-    certs = {h: local_pe_check(trace, s.graph, h, omega, K) for h in set(window.values())}
-    pe_margin = {i: certs[h].margin[i - 1] for i, h in window.items()}
     # a sensor alone is its closed neighborhood on the graph with no edges
-    single_pe_h = find_certificate(trace, StaticGraph(s.n, ()), omega, h_max, K)
+    single_pe_h = find_certificate(trace, StaticGraph(s.n, ()), omega, h_max)
     pe_ok = all(h is not None for h in pe_h.values())
     for i, h in pe_h.items():
         if h is None:

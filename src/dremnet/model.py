@@ -19,9 +19,10 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 import threading
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -188,8 +189,8 @@ def regressor_table(gen: RegressorGenerator, steps: int) -> np.ndarray:
 class NoiseModel:
     """Per-sensor Gaussian noise variances plus the run seed.
 
-    Each sensor's Philox key is derived on first use, all n at once, and
-    kept on the instance, as is, per sensor, the (counter, draws) block that
+    All n sensors' Philox keys are derived at construction and kept on the
+    instance, as is, per sensor, the (counter, draws) block that
     :func:`sample_noise` read last; ==, hash and repr ignore both. Draws use
     one generator per thread, reset in full before each use, so one model
     may be drawn from in several threads at once.
@@ -197,7 +198,7 @@ class NoiseModel:
 
     variances: tuple[float, ...]
     seed: int
-    _keys: Optional[list] = field(default=None, init=False, repr=False, compare=False)
+    _keys: list = field(init=False, repr=False, compare=False)
     _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -205,6 +206,8 @@ class NoiseModel:
         for i, r in enumerate(self.variances, start=1):
             if r < 0.0:
                 raise ValueError(f"noise variance R_{i} must be >= 0, got {r}")
+        (keys,) = _seed_keys([self.seed], range(1, len(self.variances) + 1)).tolist()
+        object.__setattr__(self, "_keys", keys)
 
 
 def _hash_constants(init: int, mult: int, count: int) -> list[np.uint32]:
@@ -232,7 +235,7 @@ def _seed_keys(seeds, sensors) -> np.ndarray:
     2**32. A seed below 2**32 is one entropy word and a larger one two, so
     the entropy is 2 or 3 words, zero-padded to the 4-word pool.
     """
-    words = [seed & _MASK64 for seed in seeds]
+    words = [operator.index(seed) & _MASK64 for seed in seeds]  # Python or numpy ints; a float raises
     lo = np.array([w & _MASK32 for w in words], dtype=np.uint32)[:, None]
     hi = np.array([w >> 32 for w in words], dtype=np.uint32)[:, None]
     sensor = np.array(sensors, dtype=np.uint32)
@@ -266,14 +269,6 @@ def _noise_models(variances: tuple[float, ...], seeds) -> list[NoiseModel]:
     return models
 
 
-def _philox_key(model: NoiseModel, sensor: int) -> list[int]:
-    # threads that race here derive equal keys, so either store may win
-    if model._keys is None:
-        (keys,) = _seed_keys([model.seed], range(1, len(model.variances) + 1)).tolist()
-        object.__setattr__(model, "_keys", keys)
-    return model._keys[sensor - 1]
-
-
 def _check_sensor(model: NoiseModel, sensor: int) -> None:
     if not 1 <= sensor <= len(model.variances):
         raise ValueError(f"sensor id {sensor} outside 1..{len(model.variances)}")
@@ -294,7 +289,7 @@ def _stream(model: NoiseModel, sensor: int, k: int) -> np.random.Philox:
         raw = _local.philox = np.random.Philox(key=0)
     raw.state = {
         "bit_generator": "Philox",
-        "state": {"counter": [k, 0, 0, 0], "key": _philox_key(model, sensor)},
+        "state": {"counter": [k, 0, 0, 0], "key": model._keys[sensor - 1]},
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
     return raw

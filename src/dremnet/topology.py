@@ -62,29 +62,19 @@ def _edge_sets(n: int, sets, label: str, empty: str) -> tuple[tuple[Edge, ...], 
 
 
 @dataclass(frozen=True)
-class StaticGraph:
-    """One fixed edge set used at every step."""
-
-    n: int
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self):
-        (edges,) = _edge_sets(self.n, (self.edges,), "static edge set", "")
-        object.__setattr__(self, "edges", edges)
-
-    def edges_at(self, k: int) -> tuple[Edge, ...]:
-        return self.edges
-
-
-@dataclass(frozen=True)
 class PeriodicGraph:
-    """Cycles through ``stages`` edge sets: step k uses stage k mod period."""
+    """Cycles through ``stages`` edge sets: step k uses stage k mod period.
+
+    A one-stage graph is static, and its edge errors say so.
+    """
 
     n: int
     stages: tuple[tuple[Edge, ...], ...]
 
     def __post_init__(self):
-        stages = _edge_sets(self.n, self.stages, "stage {}", "periodic schedule has period 0")
+        stages = tuple(self.stages)
+        label = "static edge set" if len(stages) == 1 else "stage {}"
+        stages = _edge_sets(self.n, stages, label, "periodic schedule has period 0")
         object.__setattr__(self, "stages", stages)
 
     def edges_at(self, k: int) -> tuple[Edge, ...]:
@@ -106,14 +96,19 @@ class TableGraph:
         return self.table[min(k, len(self.table) - 1)]
 
 
-GraphSchedule = Union[StaticGraph, PeriodicGraph, TableGraph]
+GraphSchedule = Union[PeriodicGraph, TableGraph]
 
 
-def ring(n: int) -> StaticGraph:
+def StaticGraph(n: int, edges) -> PeriodicGraph:
+    """One fixed edge set used at every step: a periodic graph of one stage."""
+    return PeriodicGraph(n=n, stages=(edges,))
+
+
+def ring(n: int) -> PeriodicGraph:
     """Directed ring 1 -> 2 -> ... -> n -> 1."""
     if n < 2:
         raise ValueError(f"a ring needs at least two sensors, got n={n}")
-    return StaticGraph(n=n, edges=tuple((i, i % n + 1) for i in range(1, n + 1)))
+    return StaticGraph(n, tuple((i, i % n + 1) for i in range(1, n + 1)))
 
 
 def edges_at(g: GraphSchedule, k: int) -> tuple[Edge, ...]:

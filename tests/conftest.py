@@ -27,8 +27,6 @@ def periodic_d3():
     # 1, 2 or 3 sensors; sensor 3 is constant and sensor 2's cosine windows
     # have rank 2, so neither is excited on its own
     return Scenario(
-        n=4,
-        d=3,
         theta=np.array([1.0, -0.5, 2.0]),
         generators=(
             PeriodicList(vectors=((2.0, 1.0, 0.0), (0.0, 1.0, 3.0), (1.0, 0.0, 1.0), (1.0, 1.0, 1.0))),
@@ -61,8 +59,6 @@ def table_d5():
     vectors = [rng.normal(size=(rows, 5)).round(3) for rows in (48, 20, 64)]
     patterns = (((1, 2), (2, 3)), ((3, 1),), ((1, 3), (2, 1), (3, 2)), ())
     return Scenario(
-        n=3,
-        d=5,
         theta=np.array([1.0, -2.0, 0.5, 0.25, 3.0]),
         generators=tuple(CustomTable(vectors=tuple(map(tuple, v))) for v in vectors),
         variances=(1.0, 0.3, 2.5),

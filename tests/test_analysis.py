@@ -160,7 +160,6 @@ class TestMeanRecursion:
 
     def test_no_updates_hold_mean(self):
         s = tiny_scenario(
-            d=2,
             theta=np.array([1.0, 2.0]),
             generators=(Constant(vector=(1.0, 1.0)),),
             theta_hat0=np.zeros((1, 2)),
@@ -288,7 +287,6 @@ class TestTheoremCheck:
 
     def test_unexcited_scenario_flagged(self):
         s = tiny_scenario(
-            d=2,
             theta=np.array([1.0, 2.0]),
             generators=(Constant(vector=(1.0, 1.0)),),
             theta_hat0=np.zeros((1, 2)),

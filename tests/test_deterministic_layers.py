@@ -210,7 +210,7 @@ def test_excitation_margins(case):
     trace = DeltaTrace(values=t["delta"], d=s.d)
     want = {H: reference_margins(s, t["delta"], H, K, closed(s)) for H in range(1, H_MAX + 1)}
     for H, margins in want.items():
-        got = local_pe_check(trace, s.graph, H, 1.0, K).margin
+        got = local_pe_check(trace, s.graph, H, 1.0).margin
         assert np.array(got).tobytes() == np.array(margins).tobytes()
     report = check_scenario(s, h_max=H_MAX, horizon=K)
     for i, h in report.pe_h.items():

@@ -81,6 +81,12 @@ class TestStepSchedules:
         assert len(problems) == 1
         assert "increases" in problems[0]
 
+    def test_violations_flag_underflow_to_zero(self):
+        # a subnormal c passes construction, but c / k rounds to 0.0 from
+        # k = 2 on, so the range check is reachable and reports it
+        problems = schedule_violations(HarmonicSchedule(c=5e-324), 4)
+        assert problems == ["alpha(2) = 0.0 outside (0, 1]", "alpha(3) = 0.0 outside (0, 1]"]
+
     def test_asymptotic_harmonic_clean(self):
         assert asymptotic_violations(HarmonicSchedule(c=0.7)) == []
 

@@ -40,10 +40,8 @@ class TestValidation:
             local_pe_check(trace, g, H=0, omega=1.0)
         with pytest.raises(ValueError):
             local_pe_check(trace, g, H=1, omega=0.0)
-        with pytest.raises(ValueError):
-            local_pe_check(trace, g, H=5, omega=1.0, horizon=3)
-        with pytest.raises(ValueError):
-            local_pe_check(trace, g, H=1, omega=1.0, horizon=11)
+        with pytest.raises(ValueError, match="horizon 3 is shorter than the window H=5"):
+            local_pe_check(DeltaTrace(values=trace.values[:, :3]), g, H=5, omega=1.0)
         with pytest.raises(ValueError):
             single_sensor_pe(trace, 2, H=1, omega=1.0)
         with pytest.raises(ValueError):
@@ -66,10 +64,10 @@ class TestValidation:
         g = StaticGraph(n=1, edges=())
         trace = DeltaTrace(values=np.array([[0.0, 0.0, 0.0, 1.0] * 3]), d=1)
         assert find_certificate(trace, g, omega=1.0, max_h=8) == {1: 4}
-        assert find_certificate(trace, g, omega=1.0, max_h=8, horizon=3) == {1: None}
+        assert find_certificate(DeltaTrace(values=trace.values[:, :3]), g, omega=1.0, max_h=8) == {1: None}
         assert find_certificate(DeltaTrace(values=np.ones((1, 2))), g, 1.0, max_h=8) == {1: 1}
         with pytest.raises(ValueError, match="horizon 0 is shorter than the window H=1"):
-            find_certificate(trace, g, omega=1.0, max_h=8, horizon=0)
+            find_certificate(DeltaTrace(values=trace.values[:, :0]), g, omega=1.0, max_h=8)
 
 
 class TestHandTraces:
@@ -236,7 +234,7 @@ def test_find_certificate_matches_per_window_search(name, horizon, edgeless, req
     trace = delta_traces(s, horizon)
     for omega in (1.0, 25.0):
         want, margins = per_window_search(trace, g, omega, 8, horizon)
-        assert find_certificate(trace, g, omega, 8, horizon) == want
+        assert find_certificate(trace, g, omega, 8) == want
         for H, ref in margins.items():
-            got = local_pe_check(trace, g, H, omega, horizon).margin
+            got = local_pe_check(trace, g, H, omega).margin
             assert np.array(got).tobytes() == np.array(ref).tobytes()

@@ -46,8 +46,6 @@ SEC5_NOISE_FREE_FINALS = (
 
 def tiny_scenario(**overrides) -> Scenario:
     base = dict(
-        n=1,
-        d=1,
         theta=np.array([1.0]),
         generators=(Constant(vector=(1.0,)),),
         variances=(0.0,),
@@ -338,8 +336,8 @@ class TestGraphConfig:
 
     def test_static(self, tmp_path):
         g = load_graph(tmp_path, {"kind": "static", "n": 3, "edges": [[1, 2], [2, 3]]})
-        assert isinstance(g, StaticGraph)
-        assert g.edges == ((1, 2), (2, 3))
+        assert isinstance(g, PeriodicGraph)
+        assert g.stages == (((1, 2), (2, 3)),)
 
     def test_periodic(self, tmp_path):
         g = load_graph(tmp_path, {"kind": "periodic", "n": 3, "stages": [[[1, 2]], [[2, 3]]]})
@@ -393,8 +391,25 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="variance"):
             tiny_scenario(variances=(-1.0,))
 
+    def test_sizes_come_from_graph_and_theta(self, sec5, table_d5):
+        for s in (sec5, table_d5, tiny_scenario()):
+            assert s.n == s.graph.n and s.d == len(s.theta)
+        assert (sec5.n, sec5.d, table_d5.n, table_d5.d) == (4, 2, 3, 5)
+
+    @pytest.mark.parametrize("theta", [np.zeros(0), np.zeros((2, 1)), np.float64(1.0)], ids=["empty", "2-d", "0-d"])
+    def test_theta_must_be_a_non_empty_vector(self, theta):
+        shape = re.escape(str(np.shape(theta)))
+        with pytest.raises(ScenarioError, match=f"^theta must be a non-empty vector, got shape {shape}$"):
+            tiny_scenario(theta=theta)
+
+    def test_theta_fixes_the_dimension(self, sec5):
+        # d follows theta, so a longer theta no longer fits the generators
+        with pytest.raises(ScenarioError, match="^generators: sensor 1 emits dimension 2, expected d=3$"):
+            dataclasses.replace(sec5, theta=np.array([1.0, 2.0, 3.0]))
+
     def test_graph_size_mismatch(self):
-        with pytest.raises(ScenarioError, match="graph"):
+        # n is the graph's, so the other per-sensor fields are measured against it
+        with pytest.raises(ScenarioError, match="^generators: expected 3 entries, got 1$"):
             tiny_scenario(graph=ring(3))
 
     def test_bad_graph_schedule(self):
@@ -540,8 +555,6 @@ class TestStepTables:
     )
     def test_overflow_refused_as_run_single_refuses(self, vectors, theta, where):
         s = Scenario(
-            n=2,
-            d=2,
             theta=np.array(theta),
             generators=(PeriodicList(vectors=((1.0, 0.0), (0.0, 1.0))), PeriodicList(vectors=vectors)),
             variances=(1.0, 1.0),
@@ -585,14 +598,12 @@ class TestRunSingle:
 
     def test_payload_accounting(self, sec5):
         res = run_single(sec5, seed=5, horizon=500)
-        assert res.payload_size == 3
         # ring: 4 messages per step, d+1 reals each
         assert res.payload_total == 500 * 4 * 3
 
     def test_stalled_single_sensor(self):
         # d=2 with a constant regressor: delta_bar stays 0, nothing updates
         s = tiny_scenario(
-            d=2,
             theta=np.array([1.0, 2.0]),
             generators=(Constant(vector=(1.0, 1.0)),),
             theta_hat0=np.zeros((1, 2)),
@@ -752,6 +763,9 @@ class TestMonteCarlo:
         K = 500
         tables = step_tables(sec5, K)
         seeds = tuple(range(10_001, 10_001 + CHUNK_RUNS))
+        # the first call in a process peaks at 1.31x, later ones at 1.09x;
+        # a warm-up makes the traced call the same whatever ran before
+        _chunk_sums((sec5, tables, seeds[:2]))
         tracemalloc.start()
         try:
             _chunk_sums((sec5, tables, seeds))
@@ -845,7 +859,6 @@ class TestCheckScenario:
 
     def test_unexcited_network_flagged(self):
         s = tiny_scenario(
-            d=2,
             theta=np.array([1.0, 2.0]),
             generators=(Constant(vector=(1.0, 1.0)),),
             theta_hat0=np.zeros((1, 2)),
@@ -856,21 +869,31 @@ class TestCheckScenario:
         assert report.pe_h == {1: None}
         assert any("excitation" in p for p in report.problems)
 
-    @pytest.mark.parametrize("K", [1, 2, 5, 7])
-    def test_horizon_shorter_than_h_max(self, sec5, K):
+    @staticmethod
+    def assert_margins_at_certified_window(s, K):
         # windows longer than the horizon are not tried; margins and messages
-        # are reported at the capped window
-        report = check_scenario(sec5, h_max=8, horizon=K)
-        trace = delta_traces(sec5, horizon=K)
+        # are reported at the certified window, or without one at the capped one
+        report = check_scenario(s, h_max=8, horizon=K)
+        trace = delta_traces(s, horizon=K)
         top = min(8, K)
         for i, h in report.pe_h.items():
             assert h is None or h <= top
-            cert = local_pe_check(trace, sec5.graph, h or top, 1.0, K)
+            cert = local_pe_check(trace, s.graph, h or top, 1.0)
             assert report.pe_margin[i] == cert.margin[i - 1]
             if h is None:
                 assert f"H <= {top}, omega = 1.0 (margin" in "".join(report.problems)
                 assert f"at H = {top})" in "".join(report.problems)
         assert all(h is None or h <= top for h in report.single_pe_h.values())
+
+    @pytest.mark.parametrize("K", [1, 2, 5, 7])
+    def test_horizon_shorter_than_h_max(self, sec5, K):
+        self.assert_margins_at_certified_window(sec5, K)
+
+    @pytest.mark.parametrize("K", [7, 300])
+    @pytest.mark.parametrize("name", ["periodic_d3", "table_d5"])
+    def test_margins_of_generated_scenarios(self, name, K, request):
+        # at K = 300 no sensor of table_d5 is certified, so every margin is at H = 8
+        self.assert_margins_at_certified_window(request.getfixturevalue(name), K)
 
     def test_horizon_zero_still_raises(self, sec5):
         with pytest.raises(ValueError, match="horizon 0 is shorter than the window H=1"):

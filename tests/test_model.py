@@ -488,10 +488,30 @@ class TestSeedKeys:
         assert [nm.seed for nm in models] == seeds
         for nm in models:
             lone = NoiseModel(variances=(1.0, 2.0, 0.5), seed=nm.seed)
-            assert [model._philox_key(lone, i) for i in (1, 2, 3)] == nm._keys
+            assert lone._keys == nm._keys
             assert nm == lone and noise_block(nm, 3, 9).tobytes() == noise_block(lone, 3, 9).tobytes()
             # built without the constructor, yet with every field a lone model has
             assert vars(nm).keys() == vars(lone).keys() and nm._blocks == {} and nm._blocks is not lone._blocks
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3, -1])
+    def test_keys_are_set_at_construction(self, seed):
+        nm = NoiseModel(variances=(1.0, 0.5, 2.0), seed=seed)
+        assert nm._keys == model._seed_keys([seed], [1, 2, 3]).tolist()[0]
+        # the keys are derived state: a model built without them still equals
+        # this one, and pickling carries them along
+        other = NoiseModel(variances=(1.0, 0.5, 2.0), seed=seed)
+        object.__setattr__(other, "_keys", [])
+        assert other == nm and hash(other) == hash(nm) and repr(other) == repr(nm)
+        assert repr(nm) == f"NoiseModel(variances=(1.0, 0.5, 2.0), seed={seed})"
+        clone = pickle.loads(pickle.dumps(nm))
+        assert clone == nm and hash(clone) == hash(nm) and clone._keys == nm._keys
+
+    def test_seed_is_any_integer_and_only_an_integer(self):
+        # a numpy seed keys the stream its Python int does; before, it raised
+        # OverflowError at the first draw, as a float seed did
+        assert NoiseModel(variances=(1.0,), seed=np.int64(5))._keys == NoiseModel(variances=(1.0,), seed=5)._keys
+        with pytest.raises(TypeError):
+            NoiseModel(variances=(1.0,), seed=1.5)
 
     def test_batch_models_check_variances_once(self):
         with pytest.raises(ValueError, match="R_2 must be >= 0"):

@@ -87,8 +87,6 @@ def idle_d1():
     # sensor 1, and sensor 3 has a zero regressor and no in-neighbours, so it
     # never updates
     return Scenario(
-        n=3,
-        d=1,
         theta=np.array([1.5]),
         generators=(
             PeriodicList(vectors=((1.0,), (-2.0,), (0.0,))),
@@ -110,8 +108,6 @@ def in_phase_complete():
     # pass reads each of the n messages of its step from n listeners
     n = 4
     return Scenario(
-        n=n,
-        d=2,
         theta=np.array([1.0, -2.0]),
         generators=tuple(PeriodicList(vectors=((1.0, 0.5 * i), (0.3, 1.0), (-1.0, 0.7))) for i in range(1, n + 1)),
         variances=(0.5, 1.0, 1.5, 2.0),

@@ -16,14 +16,14 @@ from dremnet.topology import (
 class TestRing:
     def test_four_sensor_ring(self):
         g = ring(4)
-        assert g.edges == ((1, 2), (2, 3), (3, 4), (4, 1))
+        assert g.stages == (((1, 2), (2, 3), (3, 4), (4, 1)),)
         assert in_neighbors(g, 1, 0) == (4,)
         assert out_neighbors(g, 1, 0) == (2,)
         assert closed_in_neighborhood(g, 3, 7) == (2, 3)
 
     def test_two_sensor_ring(self):
         g = ring(2)
-        assert g.edges == ((1, 2), (2, 1))
+        assert g.stages == (((1, 2), (2, 1)),)
         assert in_neighbors(g, 1, 0) == (2,)
 
     def test_too_small(self):
@@ -110,6 +110,12 @@ class TestValidation:
         g = StaticGraph(n=4, edges=[[1, 2], [2, 3], [3, 4], [4, 1]])
         assert g == ring(4)
 
+    def test_static_is_one_stage_periodic(self):
+        edges = ((1, 2), (3, 1))
+        assert StaticGraph(3, edges) == PeriodicGraph(3, (edges,))
+        assert hash(StaticGraph(3, edges)) == hash(PeriodicGraph(3, (edges,)))
+        assert ring(4) == PeriodicGraph(4, (((1, 2), (2, 3), (3, 4), (4, 1)),))
+
     def test_out_of_range_edge(self):
         with pytest.raises(ValueError, match=r"^static edge set: edge \(5, 1\) out of range for n=4$"):
             StaticGraph(n=4, edges=((5, 1),))
@@ -142,6 +148,18 @@ class TestValidation:
             StaticGraph(n=2, edges=[("1", "2"), (2.9, 1)])
         with pytest.raises(ValueError, match=r"edge \(True, 2\) needs integer endpoints"):
             StaticGraph(n=2, edges=[(True, 2)])
+
+    def test_one_stage_errors_read_static(self):
+        # a static graph is a periodic graph of one stage, so its errors match
+        # however it was built; with two stages each error names its stage
+        for one_stage in (
+            lambda: StaticGraph(n=3, edges=((1, 4),)),
+            lambda: PeriodicGraph(n=3, stages=(((1, 4),),)),
+        ):
+            with pytest.raises(ValueError, match=r"^static edge set: edge \(1, 4\) out of range for n=3$"):
+                one_stage()
+        with pytest.raises(ValueError, match=r"^stage 0: edge \(1, 4\) out of range for n=3$"):
+            PeriodicGraph(n=3, stages=(((1, 4),), ()))
 
     def test_numpy_integer_endpoints(self):
         g = StaticGraph(n=2, edges=[(np.int64(1), np.int32(2))])
