@@ -59,24 +59,18 @@ def _det2(p: float, q: float, r: float, s: float) -> float:
 
 
 # The det/adj kernels work on one tolist() of the matrix, the row list ``a``;
-# a minor is named by its row and column index lists. ``memo``, when given,
-# holds the dets of minors of three or more rows by (rows, cols).
-def _cofactor_det(a: list, rows: list, cols: list, memo: Optional[dict] = None) -> float:
+# a minor is named by its row and column index lists.
+def _cofactor_det(a: list, rows: list, cols: list) -> float:
     if len(rows) == 1:
         return a[rows[0]][cols[0]]
     if len(rows) == 2:
         (r0, r1), (c0, c1) = rows, cols
         return _det2(a[r0][c0], a[r0][c1], a[r1][c0], a[r1][c1])
-    key = memo is not None and (tuple(rows), tuple(cols))
-    if key and key in memo:
-        return memo[key]
     total = 0.0
     top, rest = a[rows[0]], rows[1:]
     for c, col in enumerate(cols):
-        term = top[col] * _cofactor_det(a, rest, cols[:c] + cols[c + 1 :], memo)
+        term = top[col] * _cofactor_det(a, rest, cols[:c] + cols[c + 1 :])
         total += term if c % 2 == 0 else -term
-    if key:
-        memo[key] = total
     return total
 
 
@@ -105,13 +99,11 @@ def _bareiss_det(a: list) -> float:
     return sign * a[d - 1][d - 1]
 
 
-def _det(
-    a: list, rows: Optional[list] = None, cols: Optional[list] = None, memo: Optional[dict] = None
-) -> float:
+def _det(a: list, rows: Optional[list] = None, cols: Optional[list] = None) -> float:
     if rows is None:
         rows = cols = list(range(len(a)))
     if len(rows) <= _COFACTOR_MAX:
-        return _cofactor_det(a, rows, cols, memo)
+        return _cofactor_det(a, rows, cols)
     return _bareiss_det([[a[r][c] for c in cols] for r in rows])
 
 
@@ -121,12 +113,9 @@ def _adj(a: list) -> np.ndarray:
         return np.ones((1, 1))
     idx = list(range(d))
     out = [[0.0] * d for _ in idx]
-    # cofactor minors of four rows share their three-row minors; below four
-    # rows the lookups cost more than the shared work they save
-    memo = {} if d >= 5 else None
     for r in idx:
         for c in idx:
-            cof = _det(a, idx[:r] + idx[r + 1 :], idx[:c] + idx[c + 1 :], memo)
+            cof = _det(a, idx[:r] + idx[r + 1 :], idx[:c] + idx[c + 1 :])
             # transposed cofactor matrix
             out[c][r] = cof if (r + c) % 2 == 0 else -cof
     return np.array(out)

@@ -25,6 +25,7 @@ module's ``node_step`` and the step tables of ``harness``) calls ``updates``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -77,6 +78,9 @@ class HarmonicSchedule:
     def __post_init__(self):
         # a NaN c would pass c <= 0 and make every alpha(k) = min(1, nan) = 1
         (c,) = _finite((self.c,), "harmonic coefficient c", positive=True)
+        # from a normal c, c / k stays above 0.0 for every k < 2**53
+        if c < sys.float_info.min:
+            raise ValueError(f"harmonic coefficient c must be at least {sys.float_info.min}, got {c}")
         object.__setattr__(self, "c", c)
 
     def at(self, k: int) -> float:
@@ -117,16 +121,14 @@ def step_size(s: StepSchedule, k: int) -> float:
 def schedule_violations(s: StepSchedule, horizon: int) -> list[str]:
     """Finite-horizon audit of the step-size requirements.
 
-    Checks 0 < alpha <= 1 and monotone non-increase over 0..horizon-1. For
-    the harmonic family that is all that can fail; divergence of the sum and
-    decay to zero hold analytically. Tables only certify the checked window.
+    Checks monotone non-increase over 0..horizon-1, which no harmonic
+    schedule fails; both kinds keep alpha in (0, 1] at construction. Tables
+    only certify the checked window.
     """
     problems = []
     prev = None
     for k in range(horizon):
         a = step_size(s, k)
-        if not 0.0 < a <= 1.0:
-            problems.append(f"alpha({k}) = {a} outside (0, 1]")
         if prev is not None and a > prev:
             problems.append(f"alpha({k}) = {a} increases from alpha({k - 1}) = {prev}")
         prev = a

@@ -9,8 +9,8 @@ sensor's closed in-neighborhood at each step:
 
 That neighborhood sum is what the gated update actually normalizes by, so a
 sensor whose own delta_bar vanishes identically can still be served by an
-excited in-neighbor. On the graph with no edges each neighborhood is the
-sensor alone, so the one scan also gives the single-sensor notion.
+excited in-neighbor. A sensor alone scans its own squares, which is its
+entry of the scan on the graph with no edges.
 Certificates here are horizon-certified: a scan covers the whole finite
 trace it is given, with windows starting after the transform's warm-up.
 """
@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .topology import GraphSchedule, StaticGraph, neighborhood_index, neighborhood_values
+from .topology import GraphSchedule, neighborhood_index, neighborhood_sum
 
 __all__ = [
     "DeltaTrace",
@@ -83,7 +83,6 @@ class PeCertificate:
     omega: float
     satisfied: tuple[bool, ...]
     margin: tuple[float, ...]
-    horizon: int
 
 
 def _window_margin(step_sums: np.ndarray, H: int, start: int, horizon: int) -> float:
@@ -95,29 +94,21 @@ def _window_margin(step_sums: np.ndarray, H: int, start: int, horizon: int) -> f
     return float(w.min())
 
 
-def _step_sums(trace: DeltaTrace, g: GraphSchedule, H: int, omega: float) -> np.ndarray:
-    """Each sensor's closed-neighborhood sum of squared traces per step, (n, steps).
+def _step_sums(trace: DeltaTrace, g: GraphSchedule) -> np.ndarray:
+    """Each sensor's closed-neighborhood sum of squared traces per step, (n, steps)."""
+    if g.n != trace.n:
+        raise ValueError(f"graph has {g.n} sensors but the trace has {trace.n}")
+    return neighborhood_sum(neighborhood_index(g, trace.steps), trace.values**2)
 
-    Checks the arguments of an H-window scan; the sums do not depend on H.
-    """
+
+def _certify(step_sums: np.ndarray, d: int, H: int, omega: float) -> PeCertificate:
     if H < 1:
         raise ValueError(f"window length must be positive, got {H}")
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError(f"omega must be finite and positive, got {omega}")
-    if trace.steps < H:
-        raise ValueError(f"horizon {trace.steps} is shorter than the window H={H}")
-    if g.n != trace.n:
-        raise ValueError(f"graph has {g.n} sensors but the trace has {trace.n}")
-    index = neighborhood_index(g, trace.steps)
-    members = neighborhood_values(index, trace.values**2)
-    step_sums = np.zeros((trace.n, trace.steps))
-    for p in range(index.shape[2]):
-        step_sums += members[:, :, p]
-    return step_sums
-
-
-def _certify(step_sums: np.ndarray, d: int, H: int, omega: float) -> PeCertificate:
     horizon = step_sums.shape[1]
+    if horizon < H:
+        raise ValueError(f"horizon {horizon} is shorter than the window H={H}")
     start = min(d - 1, horizon - H)
     margins = [_window_margin(row, H, start, horizon) for row in step_sums]
     return PeCertificate(
@@ -125,7 +116,6 @@ def _certify(step_sums: np.ndarray, d: int, H: int, omega: float) -> PeCertifica
         omega=omega,
         satisfied=tuple(m >= omega * (1.0 - MARGIN_REL_TOL) for m in margins),
         margin=tuple(margins),
-        horizon=horizon,
     )
 
 
@@ -136,37 +126,38 @@ def local_pe_check(trace: DeltaTrace, g: GraphSchedule, H: int, omega: float) ->
     trace's last step. Returns per-sensor margins and the slacked omega
     comparison.
     """
-    return _certify(_step_sums(trace, g, H, omega), trace.d, H, omega)
+    return _certify(_step_sums(trace, g), trace.d, H, omega)
 
 
 def single_sensor_pe(trace: DeltaTrace, sensor: int, H: int, omega: float) -> tuple[bool, float]:
-    """The windowed scan of one sensor's own trace: its entry of the check on the edgeless graph.
+    """The windowed scan of one sensor's own squares: its entry of the check on the edgeless graph.
 
     Returns (satisfied, margin).
     """
     if not 1 <= sensor <= trace.n:
         raise ValueError(f"sensor id {sensor} out of range for n={trace.n}")
-    cert = local_pe_check(trace, StaticGraph(trace.n, ()), H, omega)
-    return cert.satisfied[sensor - 1], cert.margin[sensor - 1]
+    cert = _certify(trace.values[sensor - 1 : sensor] ** 2, trace.d, H, omega)
+    return cert.satisfied[0], cert.margin[0]
 
 
 def _search(
-    trace: DeltaTrace, g: GraphSchedule, omega: float, max_h: int
+    step_sums: np.ndarray, d: int, omega: float, max_h: int
 ) -> tuple[dict[int, Optional[int]], dict[int, float]]:
     """Each sensor's smallest certifying H <= min(max_h, steps), else None, and its margin there.
 
-    A sensor that no H certifies takes its margin at the largest H tried.
+    Every H scans the same (n, steps) ``step_sums``. A sensor that no H
+    certifies takes its margin at the largest H tried.
     """
     if max_h < 1:
         raise ValueError(f"max_h must be positive, got {max_h}")
+    n, steps = step_sums.shape
     # H = 1 is always tried, so an empty trace raises
-    top = min(max_h, max(trace.steps, 1))
-    found: dict[int, Optional[int]] = {i: None for i in range(1, trace.n + 1)}
+    top = min(max_h, max(steps, 1))
+    found: dict[int, Optional[int]] = {i: None for i in range(1, n + 1)}
     margin: dict[int, float] = {}
-    step_sums = _step_sums(trace, g, 1, omega)  # one neighborhood scan for every H
     for H in range(1, top + 1):
-        cert = _certify(step_sums, trace.d, H, omega)
-        for i in range(1, trace.n + 1):
+        cert = _certify(step_sums, d, H, omega)
+        for i in range(1, n + 1):
             if found[i] is None:
                 margin[i] = cert.margin[i - 1]
                 found[i] = H if cert.satisfied[i - 1] else None
@@ -177,4 +168,4 @@ def _search(
 
 def find_certificate(trace: DeltaTrace, g: GraphSchedule, omega: float, max_h: int) -> dict[int, Optional[int]]:
     """Smallest H <= min(max_h, steps) certifying each sensor at level omega, else None."""
-    return _search(trace, g, omega, max_h)[0]
+    return _search(_step_sums(trace, g), trace.d, omega, max_h)[0]

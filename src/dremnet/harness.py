@@ -34,7 +34,7 @@ from .estimator import (
     schedule_violations,
     step_size,
 )
-from .excitation import DeltaTrace, _search, find_certificate
+from .excitation import _search
 from .model import (
     Constant,
     CustomTable,
@@ -56,6 +56,7 @@ from .topology import (
     edges_at,
     in_neighbors,
     neighborhood_index,
+    neighborhood_sum,
     neighborhood_values,
     out_neighbors,
     ring,
@@ -409,16 +410,14 @@ def step_tables(s: Scenario, horizon: Optional[int] = None) -> StepTables:
         # zero in the warm-up steps, where adj is zero
         for r in range(min(d, K)):
             ybar[:, r:] += adj[:, r:, :, r] * y_det[:, : K - r, None]
-        finite = np.isfinite(y_det) & np.isfinite(delta * delta) & np.isfinite(ybar).all(axis=2)
+        squares = delta * delta
+        finite = np.isfinite(y_det) & np.isfinite(squares) & np.isfinite(ybar).all(axis=2)
     if not finite.all():
         k, i = np.argwhere(~finite.T)[0]  # the first that run_single meets
         raise _overflow(int(i) + 1, int(k))
     alpha = np.array([step_size(s.schedule, k) for k in range(K)])
     members = neighborhood_index(s.graph, K)
-    dlt = neighborhood_values(members, delta)
-    full = np.zeros((n, K))
-    for p in range(members.shape[2]):
-        full += dlt[:, :, p] * dlt[:, :, p]
+    full = neighborhood_sum(members, squares)
     # read from the module at call time, so the tables and node_step share one rule
     updates = estimator.updates
     counts = []
@@ -801,13 +800,14 @@ def check_scenario(
     for i, b in enumerate(bounds, start=1):
         if not math.isfinite(b):
             problems.append(f"sensor {i}: regressor sequence is unbounded")
-    trace = DeltaTrace(values=tables.delta, d=s.d)
+    # step_tables refused any non-finite square
+    squares = tables.delta**2
     # margins at the certified H, or without one at the longest window tried,
     # which is never longer than the horizon
-    pe_h, pe_margin = _search(trace, s.graph, omega, h_max)
+    pe_h, pe_margin = _search(neighborhood_sum(tables.members, squares), s.d, omega, h_max)
     h_top = min(h_max, K)
-    # a sensor alone is its closed neighborhood on the graph with no edges
-    single_pe_h = find_certificate(trace, StaticGraph(s.n, ()), omega, h_max)
+    # a sensor alone sums only its own squares
+    single_pe_h = _search(squares, s.d, omega, h_max)[0]
     pe_ok = all(h is not None for h in pe_h.values())
     for i, h in pe_h.items():
         if h is None:

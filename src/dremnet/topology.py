@@ -29,6 +29,7 @@ __all__ = [
     "closed_in_neighborhood",
     "neighborhood_index",
     "neighborhood_values",
+    "neighborhood_sum",
 ]
 
 Edge = tuple[int, int]
@@ -168,3 +169,16 @@ def neighborhood_values(index: np.ndarray, values: np.ndarray) -> np.ndarray:
     steps = np.arange(index.shape[1])[None, :, None]
     valid = (index >= 0).reshape(index.shape + (1,) * (values.ndim - 2))
     return np.where(valid, values[index, steps], 0.0)
+
+
+def neighborhood_sum(index: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each neighborhood's sum of the (n, steps) ``values`` of its members, shape (n, steps).
+
+    Members are added in ascending sensor order from +0.0, as a loop over
+    closed_in_neighborhood adds them.
+    """
+    members = neighborhood_values(index, values)
+    total = np.zeros(index.shape[:2])
+    for p in range(index.shape[2]):
+        total += members[:, :, p]
+    return total

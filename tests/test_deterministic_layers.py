@@ -14,7 +14,7 @@ from dremnet.drem import extend
 from dremnet.estimator import asymptotic_violations, schedule_violations, step_size
 from dremnet.excitation import MARGIN_REL_TOL, DeltaTrace, local_pe_check
 from dremnet.harness import check_scenario, step_tables
-from dremnet.model import measure, regressor_at
+from dremnet.model import measure, regressor_table
 from dremnet.topology import closed_in_neighborhood
 
 # horizons long enough for several gated updates per sensor and for the
@@ -38,10 +38,11 @@ def reference_tables(s, K):
     delta = np.zeros((n, K))
     adj = np.zeros((n, K, d, d))
     for i in range(1, n + 1):
+        # test_model checks these rows against regressor_at
+        phi[i - 1] = regressor_table(s.generators[i - 1], K)
         hist = []
         for k in range(K):
-            p = regressor_at(s.generators[i - 1], k)
-            phi[i - 1, k] = p
+            p = phi[i - 1, k]
             y_det[i - 1, k] = measure(s.theta, p, 0.0)
             hist.insert(0, p)
             if len(hist) > d:

@@ -111,8 +111,8 @@ class TestAdjugate:
         assert np.array_equal(adjugate(m) @ m, np.zeros((2, 2)))
 
     def test_memoized_adjugate_equals_plain_expansion(self):
-        # d = 5 cofactors share their three-row minors through a memo; each
-        # cofactor expanded on its own must give the same bits
+        # at d = 5 every cofactor is a four-row cofactor expansion; expanded
+        # here on its own, each must give the same bits
         rng = np.random.default_rng(11)
         idx = list(range(5))
         for _ in range(30):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -81,11 +82,14 @@ class TestStepSchedules:
         assert len(problems) == 1
         assert "increases" in problems[0]
 
-    def test_violations_flag_underflow_to_zero(self):
-        # a subnormal c passes construction, but c / k rounds to 0.0 from
-        # k = 2 on, so the range check is reachable and reports it
-        problems = schedule_violations(HarmonicSchedule(c=5e-324), 4)
-        assert problems == ["alpha(2) = 0.0 outside (0, 1]", "alpha(3) = 0.0 outside (0, 1]"]
+    @pytest.mark.parametrize("c", [5e-324, sys.float_info.min / 2])
+    def test_harmonic_refuses_subnormal_coefficient(self, c):
+        # c / k of a subnormal c rounds to 0.0 from k = 2 on, where run_single
+        # raised and run_monte_carlo froze its estimates
+        with pytest.raises(ValueError, match=f"^harmonic coefficient c must be at least {sys.float_info.min}, got {c}$"):
+            HarmonicSchedule(c=c)
+        s = HarmonicSchedule(c=sys.float_info.min)
+        assert step_size(s, 2**53 - 1) > 0.0
 
     def test_asymptotic_harmonic_clean(self):
         assert asymptotic_violations(HarmonicSchedule(c=0.7)) == []

@@ -238,3 +238,17 @@ def test_find_certificate_matches_per_window_search(name, horizon, edgeless, req
         for H, ref in margins.items():
             got = local_pe_check(trace, g, H, omega).margin
             assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+
+@pytest.mark.parametrize("name, horizon", [("sec5", 300), ("periodic_d3", 40), ("table_d5", 40)])
+def test_single_sensor_is_its_edgeless_entry(name, horizon, request):
+    # a sensor alone scans its own squares; on the edgeless graph each
+    # neighborhood sum is 0.0 + delta_bar^2, the same bits
+    s = request.getfixturevalue(name)
+    trace = delta_traces(s, horizon)
+    for H in range(1, 9):
+        cert = local_pe_check(trace, StaticGraph(s.n, ()), H, 1.0)
+        for i in range(1, s.n + 1):
+            ok, margin = single_sensor_pe(trace, i, H, 1.0)
+            assert ok == cert.satisfied[i - 1]
+            assert np.float64(margin).tobytes() == np.float64(cert.margin[i - 1]).tobytes()

@@ -225,6 +225,12 @@ class TestLoading:
         with pytest.raises(ScenarioError, match=r"^model\.generators\[2\]: .* must be finite, got -?inf$"):
             load_scenario(p)
 
+    def test_subnormal_harmonic_coefficient_refused(self, tmp_path):
+        cfg = two_sensor_config()
+        cfg["estimator"]["step"]["c"] = 5e-324
+        with pytest.raises(ScenarioError, match=r"^estimator\.step: harmonic coefficient c must be at least .*, got 5e-324$"):
+            load_config(tmp_path, cfg)
+
     def test_missing_field(self, tmp_path):
         cfg = two_sensor_config()
         del cfg["estimator"]["step"]

@@ -8,6 +8,8 @@ from dremnet.topology import (
     closed_in_neighborhood,
     edges_at,
     in_neighbors,
+    neighborhood_index,
+    neighborhood_sum,
     out_neighbors,
     ring,
 )
@@ -101,6 +103,40 @@ class TestTimeVarying:
     def test_empty_table_raises_on_query(self):
         with pytest.raises(ValueError, match="no entries"):
             edges_at(TableGraph(n=2, table=()), 0)
+
+
+class TestNeighborhoodSum:
+    @staticmethod
+    def loop_sum(g, values):
+        # each closed neighborhood's members added in ascending order from 0.0
+        out = np.zeros(values.shape)
+        for i in range(1, g.n + 1):
+            for k in range(values.shape[1]):
+                acc = 0.0
+                for j in closed_in_neighborhood(g, i, k):
+                    acc += values[j - 1, k]
+                out[i - 1, k] = acc
+        return out
+
+    @pytest.mark.parametrize("table", [False, True], ids=["sec5_ring", "table"])
+    def test_equals_ascending_loop(self, table, sec5):
+        # the table graph's in-degrees change by step (0 to 3 in-neighbours),
+        # so most neighborhoods are padded; on three or more mixed-sign
+        # members the order of the additions shows in the bits
+        g = sec5.graph
+        if table:
+            patterns = (
+                ((1, 2), (3, 2), (4, 2), (2, 3), (4, 3)),
+                (),
+                ((2, 1), (3, 1), (1, 4), (2, 4), (3, 4)),
+                ((4, 1),),
+            )
+            g = TableGraph(n=4, table=tuple(patterns[k % 4] for k in range(12)))
+        rng = np.random.default_rng(12)
+        K = 16
+        values = rng.normal(size=(4, K))
+        got = neighborhood_sum(neighborhood_index(g, K), values)
+        assert got.tobytes() == self.loop_sum(g, values).tobytes()
 
 
 class TestValidation:
