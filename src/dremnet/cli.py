@@ -82,6 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_counts(args: argparse.Namespace) -> None:
+    """Refuse a --steps, --runs or --workers below its least value before any scenario loads."""
+    # compare needs two runs to estimate a variance
+    least = {"steps": 0, "runs": 2 if args.command == "compare" else 1, "workers": 1}
+    for option, low in least.items():
+        value = getattr(args, option, None)
+        if value is not None and value < low:
+            raise ValueError(f"--{option}: must be at least {low}, got {value}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     s = load_scenario(args.scenario)
     result = run_single(s, args.seed, horizon=args.steps)
@@ -150,8 +160,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    if args.runs < 2:
-        raise ValueError(f"--runs must be at least 2 to estimate a variance, got {args.runs}")
     s = load_scenario(args.scenario)
     horizon = _horizon(s, args.steps)
     checkpoints = []  # parsed before the simulation, so a typo costs no run
@@ -195,6 +203,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except ScenarioError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -195,9 +195,10 @@ def drem_transform(
     Both histories run newest first: phi(k), phi(k-1), ... A full window has
     d entries, d being the regressor dimension; with fewer (the first d-1
     steps) the sensor emits the inert warm-up message ybar = 0, delta_bar = 0.
+    A (<= d, d) array history, such as a reversed regressor table's window view, is read in place.
     """
     d = len(phi_history[0])
     if len(phi_history) < d:
         return DremMessage(ybar=np.zeros(d), delta_bar=0.0, sensor=sensor)
-    det, adj = extend(list(phi_history)[:d])
-    return mix(det, adj, list(y_history)[:d], sensor=sensor)
+    det, adj = extend(phi_history[:d])
+    return mix(det, adj, y_history[:d], sensor=sensor)

@@ -7,7 +7,8 @@ regularizer mu_i. One synchronous round at step k:
    c_i(k) >= d, and the sum of delta_bar_j^2 over its closed in-neighborhood
    is nonzero (``updates``).
 2. gate: the received scalar regressors delta_bar_j pass through when the
-   sensor updates; otherwise delta_j = 0.
+   sensor updates; otherwise delta_j = 0 and the estimate holds, which
+   ``node_step`` returns without building gated messages.
 3. update: every channel l moves by the same normalized step,
 
        theta_l += alpha(k) * sum_j delta_j (ybar_jl - delta_j theta_l)
@@ -25,6 +26,7 @@ module's ``node_step`` and the step tables of ``harness``) calls ``updates``.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -61,10 +63,16 @@ class NodeState:
     def __post_init__(self):
         th = np.asarray(self.theta_hat, dtype=float)
         object.__setattr__(self, "theta_hat", th)
-        if self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.counter < 0:
-            raise ValueError(f"counter must be nonnegative, got {self.counter}")
+        mu, counter = self.mu, self.counter
+        # exact-type tests first: every state node_step builds has a float mu and an int counter
+        if type(mu) is not float and (isinstance(mu, bool) or not isinstance(mu, numbers.Real)):
+            raise ValueError(f"mu must be a number, got {mu!r}")
+        if not 0.0 < mu < math.inf:
+            raise ValueError(f"mu must be finite and positive, got {mu}")
+        if type(counter) is not int and (isinstance(counter, bool) or not isinstance(counter, numbers.Integral)):
+            raise ValueError(f"counter must be an integer, got {counter!r}")
+        if counter < 0:
+            raise ValueError(f"counter must be nonnegative, got {counter}")
         if not all(map(math.isfinite, th.ravel().tolist())):
             raise ValueError("theta_hat must be finite")
 
@@ -225,14 +233,16 @@ def node_step(
     ``received`` holds the step-k messages of the in-neighbors (the caller
     assembles them from the graph); ``own`` is the sensor's simultaneous own
     message, completing the closed neighborhood. Returns the successor state
-    and whether the update was effective. The sensor's next broadcast comes
-    from the data pipeline once the k+1 measurement exists, not from here.
+    and whether the update was effective; a closed gate returns a copy of the estimate, as
+    ``update_estimate`` does for all-zero deltas, without building gated messages. The
+    sensor's next broadcast comes from the data pipeline once the k+1 measurement exists.
     """
     inbox = sorted([own, *received], key=lambda m: m.sensor)
     full = 0.0
     for m in inbox:
         full += m.delta_bar * m.delta_bar
-    effective = updates(state.counter, full, d)
-    theta_next = update_estimate(state, gate(inbox, effective), step_size(schedule, k))
-    counter_next = 0 if effective else state.counter + 1
-    return NodeState(theta_hat=theta_next, counter=counter_next, mu=state.mu), effective
+    alpha = step_size(schedule, k)  # on both branches, so a negative k is always refused
+    if not updates(state.counter, full, d):
+        return NodeState(theta_hat=state.theta_hat.copy(), counter=state.counter + 1, mu=state.mu), False
+    theta_next = update_estimate(state, gate(inbox, True), alpha)
+    return NodeState(theta_hat=theta_next, counter=0, mu=state.mu), True

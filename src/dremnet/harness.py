@@ -496,7 +496,8 @@ def run_single(s: Scenario, seed: int, horizon: Optional[int] = None) -> RunResu
     with np.errstate(over="ignore"):  # an overflow is refused per message
         # vecdot shares the np.dot kernel of measure(), as in step_tables
         y_dets = [(np.vecdot(p, s.theta) + 0.0).tolist() for p in phis]
-    phi_hist: list[list[np.ndarray]] = [[] for _ in range(n)]
+    # newest first, as in step_tables: revs[i][K-1-k : K-1-k+d] is phi(k), ..., phi(k-d+1)
+    revs = [p[::-1] for p in phis]
     y_hist: list[list[float]] = [[] for _ in range(n)]
     # edge set -> per sensor (in-neighbours, out-degree), queried once per edge set
     hoods: dict = {}
@@ -510,12 +511,10 @@ def run_single(s: Scenario, seed: int, horizon: Optional[int] = None) -> RunResu
         hood = hoods[edges]
         msgs = {}
         for i in range(1, n + 1):
-            p = phis[i - 1][k]
             v = sample_noise(nm, i, k)
             y = y_dets[i - 1][k] + v
-            phi_hist[i - 1] = [p, *phi_hist[i - 1][: d - 1]]  # newest first, at most d
-            y_hist[i - 1] = [y, *y_hist[i - 1][: d - 1]]
-            msg = drem_transform(i, phi_hist[i - 1], y_hist[i - 1])
+            y_hist[i - 1] = [y, *y_hist[i - 1][: d - 1]]  # newest first, at most d
+            msg = drem_transform(i, revs[i - 1][K - 1 - k : K - 1 - k + d], y_hist[i - 1])
             if not (
                 math.isfinite(y)
                 and math.isfinite(msg.delta_bar * msg.delta_bar)

@@ -44,6 +44,7 @@ _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
 _ANGLE = 2.0 * math.pi * _INV_2_53  # exact, so w * _ANGLE rounds as 2*pi * (w * 2**-53)
+_BLOCK_COUNTERS = 64  # Philox counters (256 draws) in each block that sample_noise keeps
 
 
 def _finite(values, what: str, positive: bool = False) -> tuple[float, ...]:
@@ -190,8 +191,8 @@ class NoiseModel:
     """Per-sensor Gaussian noise variances plus the run seed.
 
     All n sensors' Philox keys are derived at construction and kept on the
-    instance, as is, per sensor, the (counter, draws) block that
-    :func:`sample_noise` read last; ==, hash and repr ignore both. Draws use
+    instance, as is, per sensor, the 256-draw block (first counter, draws)
+    that :func:`sample_noise` read last; ==, hash and repr ignore both. Draws use
     one generator per thread, reset in full before each use, so one model
     may be drawn from in several threads at once.
     """
@@ -328,18 +329,18 @@ def noise_block(model: NoiseModel, sensor: int, steps: int) -> np.ndarray:
 def sample_noise(model: NoiseModel, sensor: int, k: int) -> float:
     """One Gaussian draw v_sensor(k), deterministic in (seed, sensor, k).
 
-    Reads draw k & 3 of counter k // 4's block, kept per sensor until another
-    replaces it. Blocks come from this thread's fully reset generator, so draws
-    may come in any order, interleaved with :func:`noise_block`, from any thread.
+    Reads entry k % 256 of the 64-counter block from counter 64 * (k // 256), kept
+    per sensor until another replaces it. Blocks come from this thread's fully reset
+    generator, so draws may come in any order, between :func:`noise_block` calls, from any thread.
     """
     _check_sensor(model, sensor)
     if k < 0:
         raise ValueError(f"time step must be >= 0, got {k}")
-    counter = k >> 2
+    counter = _BLOCK_COUNTERS * (k // (4 * _BLOCK_COUNTERS))
     block = model._blocks.get(sensor)
     if block is None or block[0] != counter:
-        block = model._blocks[sensor] = (counter, tuple(_normals(model, sensor, counter, 1).tolist()))
-    return block[1][k & 3]
+        block = model._blocks[sensor] = (counter, _normals(model, sensor, counter, _BLOCK_COUNTERS).tolist())
+    return block[1][k - 4 * counter]
 
 
 def measure(theta: np.ndarray, phi: np.ndarray, noise: float) -> float:

@@ -36,7 +36,14 @@ class TestRun:
 
     def test_negative_steps(self, capsys):
         assert main(["run", "--steps", "-1"]) == 1
-        assert "error: horizon must be nonnegative, got -1" in capsys.readouterr().err
+        assert "error: --steps: must be at least 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "mc", "check-pe", "oracle", "compare"])
+    def test_counts_checked_before_the_scenario_loads(self, tmp_path, capsys, command):
+        # a missing scenario file would be the error if the scenario loaded first
+        missing = str(tmp_path / "missing.json")
+        assert main([command, "--scenario", missing, "--steps", "-1"]) == 1
+        assert capsys.readouterr().err == "error: --steps: must be at least 0, got -1\n"
 
 
 class TestMc:
@@ -49,12 +56,12 @@ class TestMc:
 
     def test_bad_runs(self, capsys):
         assert main(["mc", "--runs", "0", "--steps", "4"]) == 1
-        assert "error:" in capsys.readouterr().err
+        assert "error: --runs: must be at least 1, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_bad_workers(self, workers, capsys):
         assert main(["mc", "--runs", "4", "--steps", "4", "--workers", workers]) == 1
-        assert f"error: workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert f"error: --workers: must be at least 1, got {workers}" in capsys.readouterr().err
 
 
 class TestOverflow:

@@ -12,6 +12,7 @@ from dremnet.drem import (
     mix,
     stack_regressors,
 )
+from dremnet.model import regressor_table
 
 
 def perm_sign(p):
@@ -247,3 +248,22 @@ class TestDremTransform:
         assert msg.delta_bar == ref.delta_bar
         assert np.array_equal(msg.ybar, ref.ybar)
 
+    @pytest.mark.parametrize("name", ["sec5", "table_d5"])
+    def test_window_views_match_row_lists(self, request, name):
+        # run_single passes (<= d, d) window views of the reversed regressor
+        # table; warm-up and full windows give the bytes of a list of rows
+        s = request.getfixturevalue(name)
+        K, d = 80, s.d
+        rng = np.random.default_rng(8)
+        for i, gen in enumerate(s.generators, start=1):
+            table = regressor_table(gen, K)
+            rev = table[::-1]
+            y = rng.normal(size=K).tolist()
+            for k in range(K):
+                view = rev[K - 1 - k : K - 1 - k + d]
+                assert view.shape == (min(k + 1, d), d) and np.shares_memory(view, table)
+                rows = [table[t].copy() for t in range(k, max(k - d, -1), -1)]
+                ys = [y[t] for t in range(k, max(k - d, -1), -1)]
+                got, want = drem_transform(i, view, ys), drem_transform(i, rows, ys)
+                assert np.float64(got.delta_bar).tobytes() == np.float64(want.delta_bar).tobytes(), (i, k)
+                assert got.ybar.tobytes() == want.ybar.tobytes(), (i, k)

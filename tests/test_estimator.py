@@ -248,7 +248,51 @@ class TestNodeStep:
             assert eff and nxt.theta_hat.tobytes() == want
 
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "counter, deltas", [(1, (1.0, -2.0)), (3, (0.0, -0.0)), (0, (math.nan, 1.0))], ids=["immature", "zero", "nan"]
+    )
+    def test_closed_gate_holds_the_estimate(self, counter, deltas, bad):
+        # with the gate closed node_step returns the bytes that the update with
+        # every delta zeroed returns, in a fresh array, whatever the ybar values
+        state = NodeState(theta_hat=np.array([0.3, -0.0, 5e-324]), counter=counter, mu=0.1)
+        own, other = msg(2, deltas[0], [bad, 1.0, -bad]), msg(1, deltas[1], [0.5, bad, 2.0])
+        schedule = HarmonicSchedule(c=0.7)
+        want = update_estimate(state, gate([other, own], open=False), step_size(schedule, 7))
+        nxt, eff = node_step(state, 7, own, [other], schedule, d=2)
+        assert not eff and nxt.counter == counter + 1 and nxt.mu == state.mu
+        assert nxt.theta_hat.tobytes() == want.tobytes() == state.theta_hat.tobytes()
+        assert nxt.theta_hat is not state.theta_hat
+
+    @pytest.mark.parametrize("counter, effective", [(0, False), (2, True)])
+    def test_negative_step_refused_with_the_gate_open_or_closed(self, counter, effective):
+        state = NodeState(theta_hat=np.zeros(1), counter=counter, mu=0.1)
+        args = (msg(1, 1.0, [2.5]), [], HarmonicSchedule(c=0.7), 2)
+        assert node_step(state, 0, *args)[1] == effective
+        with pytest.raises(ValueError, match="step index must be nonnegative"):
+            node_step(state, -1, *args)
+
+
 class TestState:
+    @pytest.mark.parametrize("mu", [math.nan, -math.nan, math.inf, -math.inf, np.float32("nan"), 0.0, -1.0])
+    def test_mu_must_be_finite_and_positive(self, mu):
+        with pytest.raises(ValueError, match="mu must be finite and positive"):
+            NodeState(theta_hat=np.zeros(2), counter=0, mu=mu)
+
+    @pytest.mark.parametrize("mu", ["0.1", True, None, 1j])
+    def test_mu_must_be_a_number(self, mu):
+        with pytest.raises(ValueError, match="mu must be a number"):
+            NodeState(theta_hat=np.zeros(2), counter=0, mu=mu)
+
+    @pytest.mark.parametrize("counter", [1.5, 2.0, True, "2", np.float64(1.0)])
+    def test_counter_must_be_an_integer(self, counter):
+        with pytest.raises(ValueError, match="counter must be an integer"):
+            NodeState(theta_hat=np.zeros(2), counter=counter, mu=0.1)
+
+    def test_numpy_numbers_accepted(self):
+        state = NodeState(theta_hat=np.zeros(2), counter=np.int64(3), mu=np.float32(0.5))
+        assert state.counter == 3 and state.mu == 0.5
+
     def test_validation(self):
         with pytest.raises(ValueError):
             NodeState(theta_hat=np.zeros(2), counter=0, mu=0.0)

@@ -367,8 +367,9 @@ class TestNoise:
         assert noise_block(clone, 1, 20).tobytes() == np.array(before[:20]).tobytes()
 
     def test_kept_blocks_in_reverse_order(self):
-        # each sensor keeps its last block: walking counters backwards, with
-        # the sensors interleaved, replaces it at every counter
+        # each sensor keeps its last 256-draw block: steps 39 down to 0, with
+        # the sensors interleaved, all lie in the block from counter 0, which
+        # each sensor computes on its first draw and keeps
         variances = (1.0, 0.5, 2.0)
         want = {sensor: noise_block(NoiseModel(variances=variances, seed=12), sensor, 40) for sensor in (1, 2, 3)}
         nm = NoiseModel(variances=variances, seed=12)
@@ -376,6 +377,27 @@ class TestNoise:
             for sensor in (3, 1, 2):
                 assert sample_noise(nm, sensor, k) == want[sensor][k], (sensor, k)
         assert len(nm._blocks) == 3 and all(counter == 0 for counter, _ in nm._blocks.values())
+
+    def test_draws_across_block_boundaries(self):
+        # the kept blocks hold 256 draws, from counters 0, 64, 128, ...: draws on
+        # both sides of a boundary, read out of order, are noise_block's bits
+        variances = (1.0, 0.5)
+        want = {sensor: noise_block(NoiseModel(variances=variances, seed=21), sensor, 513) for sensor in (1, 2)}
+        nm = NoiseModel(variances=variances, seed=21)
+        for k, first in ((512, 128), (255, 0), (511, 64), (256, 64), (0, 0), (512, 128)):
+            for sensor in (2, 1):
+                assert np.float64(sample_noise(nm, sensor, k)).tobytes() == want[sensor][k].tobytes(), (sensor, k)
+                assert nm._blocks[sensor][0] == first and len(nm._blocks[sensor][1]) == 256
+
+    def test_one_block_per_256_steps_of_a_run(self, monkeypatch):
+        # a K = 500 run of four sensors computes two blocks per sensor
+        from dremnet.harness import load_scenario, run_single
+
+        calls = []
+        normals = model._normals
+        monkeypatch.setattr(model, "_normals", lambda *args: calls.append(args[1:]) or normals(*args))
+        run_single(load_scenario("sec5"), seed=3, horizon=500)
+        assert sorted(calls) == [(sensor, first, 64) for sensor in (1, 2, 3, 4) for first in (0, 64)]
 
     def test_kept_blocks_are_invisible(self):
         drawn = NoiseModel(variances=(1.0, 0.5), seed=4)
