@@ -20,7 +20,7 @@ Determinants and adjugates are computed by exact cofactor expansion up to 4x4
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -157,10 +157,6 @@ class DremMessage:
     delta_bar: float
     sensor: int
 
-    @property
-    def payload_size(self) -> int:
-        return len(self.ybar) + 1
-
 
 def _adj_apply(adj: np.ndarray, stack: Sequence[float]) -> np.ndarray:
     # columnwise accumulation from +0.0, r ascending; batched runs replay this
@@ -188,14 +184,14 @@ def mix(det: float, adj: np.ndarray, y_stack: Sequence[float], sensor: int = 0) 
 
 
 def drem_transform(
-    sensor: int, phi_history: Sequence[np.ndarray], y_history: Sequence[float]
+    sensor: int, phi_history: Union[list, tuple, np.ndarray], y_history: Union[list, tuple, np.ndarray]
 ) -> DremMessage:
     """The message of 1-based ``sensor`` from its regressor and measurement histories.
 
-    Both histories run newest first: phi(k), phi(k-1), ... A full window has
-    d entries, d being the regressor dimension; with fewer (the first d-1
-    steps) the sensor emits the inert warm-up message ybar = 0, delta_bar = 0.
-    A (<= d, d) array history, such as a reversed regressor table's window view, is read in place.
+    Each history is a list, tuple or ndarray, newest first (phi(k), phi(k-1), ...), sliced
+    to its first d entries, d being the regressor dimension; with fewer (the first d-1
+    steps) the sensor emits the inert warm-up message ybar = 0, delta_bar = 0. An array
+    history, such as a reversed regressor table's (<= d, d) window view, is read in place.
     """
     d = len(phi_history[0])
     if len(phi_history) < d:

@@ -53,12 +53,9 @@ from .topology import (
     PeriodicGraph,
     StaticGraph,
     TableGraph,
-    edges_at,
-    in_neighbors,
     neighborhood_index,
     neighborhood_sum,
     neighborhood_values,
-    out_neighbors,
     ring,
 )
 
@@ -93,13 +90,14 @@ def _floats(value, what: str) -> np.ndarray:
     return np.array(_finite(entries.ravel().tolist(), what), dtype=float).reshape(entries.shape)
 
 
-def _steps(horizon) -> int:
-    """A horizon as an int: a Python or numpy integer, not a bool, at least 0."""
-    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
-        raise ValueError(f"horizon must be an integer, got {horizon!r}")
-    if horizon < 0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    return int(horizon)
+def _integer(value, name: str, least: Optional[int] = None) -> int:
+    """``value`` as an int: a Python or numpy integer, not a bool, and at least ``least`` if given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +159,7 @@ class Scenario:
         object.__setattr__(self, "theta_hat0", th0)
         if th0.shape != (self.n, self.d):
             raise ScenarioError(f"theta_hat0 must have shape ({self.n}, {self.d}), got {th0.shape}")
-        object.__setattr__(self, "horizon", _steps(self.horizon))
+        object.__setattr__(self, "horizon", _integer(self.horizon, "horizon", 0))
 
 
 def _sec5() -> Scenario:
@@ -374,15 +372,20 @@ class StepTables:
 
 def _horizon(s: Scenario, horizon: Optional[int]) -> int:
     """The step count to simulate: the override if given, else the scenario's."""
-    return s.horizon if horizon is None else _steps(horizon)
+    return s.horizon if horizon is None else _integer(horizon, "horizon", 0)
 
 
-def _overflow(sensor: int, k: int) -> ValueError:
-    """The refusal of both engines when a measurement or message leaves float64 range."""
-    return ValueError(
-        f"sensor {sensor}, step {k}: the measurement or DREM message overflows float64; "
-        "scale the regressors down"
-    )
+def _overflow(sensor: int, k: int, what: str = "the measurement or DREM message") -> ValueError:
+    """The refusal of both engines when a measurement, message or estimate leaves float64 range."""
+    return ValueError(f"sensor {sensor}, step {k}: {what} overflows float64; scale the regressors down")
+
+
+def _noise_free(s: Scenario, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """The regressors phi (n, K, d) and noise-free measurements theta' phi (n, K), which the caller checks."""
+    phi = np.array([regressor_table(g, K) for g in s.generators])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # vecdot shares the np.dot kernel of measure(); a channel loop rounds differently
+        return phi, np.vecdot(phi, s.theta) + 0.0
 
 
 def step_tables(s: Scenario, horizon: Optional[int] = None) -> StepTables:
@@ -394,7 +397,7 @@ def step_tables(s: Scenario, horizon: Optional[int] = None) -> StepTables:
     """
     K = _horizon(s, horizon)
     n, d = s.n, s.d
-    phi = np.array([regressor_table(g, K) for g in s.generators])
+    phi, y_det = _noise_free(s, K)
     delta = np.zeros((n, K))
     adj = np.zeros((n, K, d, d))
     for i in range(n):
@@ -404,8 +407,6 @@ def step_tables(s: Scenario, horizon: Optional[int] = None) -> StepTables:
             delta[i, d - 1 :], adj[i, d - 1 :] = zip(*windows)
     ybar = np.zeros((n, K, d))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        # vecdot shares the np.dot kernel of measure(); a channel loop rounds differently
-        y_det = np.vecdot(phi, s.theta) + 0.0
         # the noise-free messages, ybar(k) = sum over r of adj(k)[:, r] y(k - r);
         # zero in the warm-up steps, where adj is zero
         for r in range(min(d, K)):
@@ -478,7 +479,8 @@ def run_single(s: Scenario, seed: int, horizon: Optional[int] = None) -> RunResu
     Every sensor produces its message for step k, the full round is
     delivered along the step-k edges, and every sensor consumes its closed
     neighborhood's messages in the same k. A measurement, squared delta_bar
-    or ybar that is not finite raises the ValueError of ``step_tables``.
+    or ybar that is not finite raises the ValueError of ``step_tables``, and
+    a non-finite estimate one of the same form naming its sensor and step.
     """
     K = _horizon(s, horizon)
     n, d = s.n, s.d
@@ -491,25 +493,17 @@ def run_single(s: Scenario, seed: int, horizon: Optional[int] = None) -> RunResu
     thetas: list[list[np.ndarray]] = [[th] for th in s.theta_hat0]
     counts: list[list[int]] = [[0] for _ in range(n)]
     eff: list[list[bool]] = [[] for _ in range(n)]
-    payload_total = 0
-    phis = [regressor_table(g, K) for g in s.generators]
-    with np.errstate(over="ignore"):  # an overflow is refused per message
-        # vecdot shares the np.dot kernel of measure(), as in step_tables
-        y_dets = [(np.vecdot(p, s.theta) + 0.0).tolist() for p in phis]
+    phi, y_det = _noise_free(s, K)  # an overflow is refused per message
+    y_dets = y_det.tolist()
     # newest first, as in step_tables: revs[i][K-1-k : K-1-k+d] is phi(k), ..., phi(k-d+1)
-    revs = [p[::-1] for p in phis]
+    revs = list(phi[:, ::-1])
     y_hist: list[list[float]] = [[] for _ in range(n)]
-    # edge set -> per sensor (in-neighbours, out-degree), queried once per edge set
-    hoods: dict = {}
+    index = neighborhood_index(s.graph, K)
+    # each in-edge adds one member to a closed neighbourhood and carries one message of d+1 reals
+    payload_total = (d + 1) * (int((index >= 0).sum()) - n * K)
+    members = index.tolist()
     for k in range(K):
-        edges = edges_at(s.graph, k)
-        if edges not in hoods:
-            hoods[edges] = [
-                (in_neighbors(s.graph, i, k), len(out_neighbors(s.graph, i, k)))
-                for i in range(1, n + 1)
-            ]
-        hood = hoods[edges]
-        msgs = {}
+        msgs = []
         for i in range(1, n + 1):
             v = sample_noise(nm, i, k)
             y = y_dets[i - 1][k] + v
@@ -521,12 +515,15 @@ def run_single(s: Scenario, seed: int, horizon: Optional[int] = None) -> RunResu
                 and all(map(math.isfinite, msg.ybar.tolist()))
             ):
                 raise _overflow(i, k)
-            assert msg.payload_size == d + 1, "message payload must be d+1 reals"
-            payload_total += msg.payload_size * hood[i - 1][1]
-            msgs[i] = msg
+            msgs.append(msg)
         for i in range(1, n + 1):
-            received = [msgs[j] for j in hood[i - 1][0]]
-            state, effective = node_step(states[i - 1], k, msgs[i], received, s.schedule, d)
+            # sensor i hears the other members of its closed neighbourhood (-1 pads)
+            received = [msgs[j] for j in members[i - 1][k] if j >= 0 and j != i - 1]
+            try:
+                state, effective = node_step(states[i - 1], k, msgs[i - 1], received, s.schedule, d)
+            except ValueError as e:
+                # every input but the new estimate was checked, so that is what node_step refused
+                raise _overflow(i, k, "the estimate") from e
             eff[i - 1].append(effective)
             states[i - 1] = state
             counts[i - 1].append(state.counter)
@@ -617,14 +614,20 @@ def _chunk_sums(args: tuple[Scenario, StepTables, tuple[int, ...]]) -> tuple[np.
         if t > 0:
             e, lo, hi = t - 1, bounds[t - 1], bounds[t]
             js, ks = msg_sender[lo:hi], msg_step[lo:hi]
-            ybar = np.zeros((hi - lo, d, m))
-            for r in range(d):
-                ybar += y[js, :, ks - r][:, None, :] * msg_adj[lo:hi, :, r, None]
-            num = np.zeros((n, d, m))
-            for p in range(inv.shape[2]):
-                dlt = deltas[:, e, p, None, None]
-                num += dlt * (ybar[inv[e, :, p]] - dlt * th)
-            th = th + (alpha[:, e] * num) / den[:, e]
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate is refused below
+                ybar = np.zeros((hi - lo, d, m))
+                for r in range(d):
+                    ybar += y[js, :, ks - r][:, None, :] * msg_adj[lo:hi, :, r, None]
+                num = np.zeros((n, d, m))
+                for p in range(inv.shape[2]):
+                    dlt = deltas[:, e, p, None, None]
+                    num += dlt * (ybar[inv[e, :, p]] - dlt * th)
+                th = th + (alpha[:, e] * num) / den[:, e]
+            finite = np.isfinite(th).all(axis=(1, 2))
+            if not finite.all():
+                # of the sensors that left float64 range, the one whose update run_single meets first
+                i = min(np.flatnonzero(~finite), key=lambda i: (steps[i, e], i))
+                raise _overflow(int(i) + 1, int(steps[i, e]), "the estimate")
         # each sum starts from +0.0, so an all -0.0 sum reads +0.0
         tilde = th - s.theta[:, None]
         tot = tilde.sum(axis=2)
@@ -651,11 +654,10 @@ def run_monte_carlo(
     tables. Chunk results are merged strictly in chunk order: sums add, and
     squared deviations combine by the pairwise update of Chan, Golub and
     LeVeque (1979), which avoids the cancellation of sum(x^2) - M*mean^2.
+    An estimate that leaves float64 range raises a ValueError naming a sensor and its update step.
     """
-    if runs < 1:
-        raise ValueError(f"need at least one run, got {runs}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    runs, workers = _integer(runs, "runs", 1), _integer(workers, "workers", 1)
+    base_seed = _integer(base_seed, "base_seed")
     K = _horizon(s, horizon)
     tables = step_tables(s, K)
     seeds = [base_seed + r for r in range(1, runs + 1)]

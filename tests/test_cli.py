@@ -65,9 +65,9 @@ class TestMc:
 
 
 class TestOverflow:
-    @pytest.mark.parametrize("scale", ["1e160", "1e80"])
+    @pytest.mark.parametrize("case", ["1e160", "1e80", "estimate"])
     @pytest.mark.parametrize("command", [["run"], ["mc", "--runs", "3"]])
-    def test_overflowing_window_refused(self, tmp_path, capsys, command, scale):
+    def test_overflowing_window_refused(self, tmp_path, capsys, command, case):
         # at d = 2 a window of 1e160 entries has a determinant past float64
         # range, and one of 1e80 entries a squared determinant past it;
         # either would make the estimates NaN
@@ -84,11 +84,18 @@ class TestOverflow:
             "estimator": {"mu": [0.1, 0.1], "step": {"kind": "harmonic", "c": 0.7}},
             "run": {"horizon": 20},
         }
+        want = "error: sensor 1, step 1: the measurement or DREM message overflows float64"
+        if case == "estimate":
+            # finite windows and messages, but sensor 1's first update, at step 2,
+            # multiplies a delta_bar of 1e144 by a measurement near 1e154
+            big = {"kind": "periodic-list", "vectors": [[1e154, 0.0], [0.0, 1e-10]]}
+            cfg["model"] = {"theta": [0.0, 0.0], "generators": [big, big], "noise": [1.7e308, 1.7e308]}
+            want = "error: sensor 1, step 2: the estimate overflows float64"
         p = tmp_path / "big.json"
-        p.write_text(json.dumps(cfg).replace('"X"', scale))
+        p.write_text(json.dumps(cfg).replace('"X"', case))
         assert main([*command, "--scenario", str(p)]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: sensor 1, step 1: the measurement or DREM message overflows float64")
+        assert captured.err.startswith(want)
         assert "mean error" not in captured.out
 
 

@@ -185,7 +185,7 @@ class TestMix:
         msg = mix(det, adj, y, sensor=1)
         np.testing.assert_allclose(msg.ybar, det * theta, rtol=1e-12)
         assert msg.delta_bar == 1.0
-        assert msg.payload_size == 3
+        assert msg.ybar.shape == (2,)
 
     def test_d1_reduces_to_plain_regression(self):
         msg = mix(*extend([np.array([4.0])]), [8.0])

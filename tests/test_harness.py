@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from dremnet.topology import (
     TableGraph,
     closed_in_neighborhood,
     edges_at,
+    out_neighbors,
     ring,
 )
 
@@ -161,6 +163,16 @@ class TestLoading:
         # str paths work too
         s2 = load_scenario(str(p))
         assert s2.mu == s.mu
+
+    def test_periodic_d3_file_equals_fixture(self, periodic_d3):
+        # tools/output_digests.py runs the command line on this file as periodic_d3
+        s = load_scenario(Path(__file__).resolve().parent.parent / "tools" / "periodic_d3.json")
+        for field in dataclasses.fields(Scenario):
+            got, want = getattr(s, field.name), getattr(periodic_d3, field.name)
+            if isinstance(want, np.ndarray):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), field.name
+            else:
+                assert got == want, field.name
 
     def test_unknown_name_lists_builtins(self):
         with pytest.raises(ScenarioError, match="sec5"):
@@ -578,6 +590,45 @@ class TestStepTables:
         assert str(run_error.value) == str(tables_error.value)
 
 
+def estimate_overflow_scenario() -> Scenario:
+    # the step tables build, and under seeds 1..3 the messages of steps 0..2
+    # are finite, but the update at step 2 multiplies a delta_bar of 1e144 by
+    # a measurement near 1e154
+    big = PeriodicList(vectors=((1e154, 0.0), (0.0, 1e-10)))
+    return Scenario(
+        theta=np.zeros(2),
+        generators=(big, big),
+        variances=(1.7e308, 1.7e308),
+        graph=ring(2),
+        schedule=HarmonicSchedule(c=0.7),
+        mu=(0.1, 0.1),
+        theta_hat0=np.zeros((2, 2)),
+        horizon=12,
+    )
+
+
+class TestEstimateOverflow:
+    WANT = "sensor 1, step 2: the estimate overflows float64; scale the regressors down"
+
+    def test_both_engines_refuse_alike(self):
+        s = estimate_overflow_scenario()
+        step_tables(s)  # the noise-free tables build
+        with pytest.raises(ValueError) as run_error:
+            run_single(s, seed=1)
+        with pytest.raises(ValueError) as mc_error:
+            run_monte_carlo(s, runs=1, base_seed=0)
+        assert str(run_error.value) == str(mc_error.value) == self.WANT
+
+    def test_kernel_names_an_update_step(self):
+        # more runs: some sensor leaves float64 range at one of its update steps
+        s = estimate_overflow_scenario()
+        tables = step_tables(s)
+        with pytest.raises(ValueError, match="overflows float64") as error:
+            run_monte_carlo(s, runs=3, base_seed=0)
+        sensor, step = map(int, re.match(r"sensor (\d+), step (\d+): the estimate", str(error.value)).groups())
+        assert tables.effective[sensor - 1, step]
+
+
 class TestRunSingle:
     def test_noise_free_finals_frozen(self, sec5_noise_free):
         res = run_single(sec5_noise_free, seed=123)
@@ -602,10 +653,17 @@ class TestRunSingle:
         with pytest.raises(ValueError, match="horizon must be nonnegative, got -1"):
             run_single(sec5, seed=5, horizon=-1)
 
-    def test_payload_accounting(self, sec5):
+    def test_payload_accounting(self, sec5, request):
         res = run_single(sec5, seed=5, horizon=500)
         # ring: 4 messages per step, d+1 reals each
         assert res.payload_total == 500 * 4 * 3
+        # time-varying graphs: d+1 reals per receiver of each message, at horizons
+        # within table_d5's table (its last entry holds from step 44) and past it
+        for name in ("periodic_d3", "table_d5"):
+            s = request.getfixturevalue(name)
+            for K in (0, 1, s.d, 60):
+                receivers = sum(len(out_neighbors(s.graph, i, k)) for k in range(K) for i in range(1, s.n + 1))
+                assert run_single(s, seed=5, horizon=K).payload_total == (s.d + 1) * receivers, (name, K)
 
     def test_stalled_single_sensor(self):
         # d=2 with a constant regressor: delta_bar stays 0, nothing updates
@@ -789,11 +847,28 @@ class TestMonteCarlo:
         assert np.all(agg.var_tilde >= 0.0)
 
     def test_argument_validation(self, sec5):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="runs must be at least 1, got 0"):
             run_monte_carlo(sec5, runs=0, base_seed=0)
         for workers in (0, -2):
             with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
                 run_monte_carlo(sec5, runs=4, base_seed=0, workers=workers)
+        # the integer check of the horizon: no bool, no float, whatever its value
+        for args, message in (
+            (dict(runs=True), "runs must be an integer, got True"),
+            (dict(runs=2.5), "runs must be an integer, got 2.5"),
+            (dict(runs=2, workers=2.5), "workers must be an integer, got 2.5"),
+            (dict(runs=2, workers=True), "workers must be an integer, got True"),
+            (dict(runs=2, base_seed=1.5), "base_seed must be an integer, got 1.5"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run_monte_carlo(sec5, **{"base_seed": 0, **args}, horizon=3)
+
+    def test_integer_arguments_accepted(self, sec5):
+        # numpy integers and negative seeds; the aggregate keeps Python ints
+        agg = run_monte_carlo(sec5, runs=np.int64(2), base_seed=-5, workers=np.int32(1), horizon=3)
+        assert (type(agg.runs), agg.runs, agg.base_seed) == (int, 2, -5)
+        ref = run_monte_carlo(sec5, runs=2, base_seed=-5, horizon=3)
+        assert agg.mean_tilde.tobytes() == ref.mean_tilde.tobytes()
 
 
 class TestExport:

@@ -1,16 +1,20 @@
-"""Print the SHA-256 of every CSV the command line writes on sec5, as one JSON line.
+"""Print the SHA-256 of every CSV the command line writes on sec5 and periodic_d3, as one JSON line.
 
     python tools/output_digests.py --steps 1000
 
 Runs ``run``, ``mc --workers 1``, ``mc --workers 2``, ``oracle``,
 ``compare --out`` and ``check-pe`` on the builtin sec5 scenario in a
 temporary directory, importing the package from ``src/`` beside this
-directory. Two checkouts that print the same line write the same bytes. The
-Monte Carlo commands use three chunks of runs, so two workers really split
-them. ``noise`` digests the bytes of 1000 ``noise_block`` draws of sec5's
-sensor 1 under seed 7, so a change to the noise stream shows under its own
-name. The exit status is 1 when the two ``mc`` digests differ, or when those
-draws differ from 1000 ``sample_noise`` calls.
+directory. ``run_periodic_d3``, ``mc_periodic_d3_workers1`` and
+``mc_periodic_d3_workers2`` run the same ``run`` and ``mc`` commands on
+``periodic_d3.json`` beside this file: d = 3 over a two-stage periodic graph,
+so time-varying neighbourhoods show in the bytes. Two checkouts that print
+the same line write the same bytes. The Monte Carlo commands use three
+chunks of runs, so two workers really split them. ``noise`` digests the
+bytes of 1000 ``noise_block`` draws of sec5's sensor 1 under seed 7, so a
+change to the noise stream shows under its own name. The exit status is 1
+when the one- and two-worker ``mc`` digests of a scenario differ, or when
+those draws differ from 1000 ``sample_noise`` calls.
 """
 
 from __future__ import annotations
@@ -35,16 +39,22 @@ from dremnet.model import NoiseModel, noise_block, sample_noise  # noqa: E402
 
 RUNS = 2 * CHUNK_RUNS + 1
 DRAWS = 1000
+# scenario -> the suffix of its output names
+SCENARIOS = {"sec5": "", str(Path(__file__).with_name("periodic_d3.json")): "_periodic_d3"}
 
 
 def commands(steps: int) -> dict[str, list[str]]:
     """Output name -> CLI arguments, without ``--out``."""
+    out = {}
+    for scenario, suffix in SCENARIOS.items():
+        common = ["--scenario", scenario, "--steps", str(steps)]
+        mc = ["mc", *common, "--runs", str(RUNS), "--seed", "3"]
+        out[f"run{suffix}"] = ["run", *common, "--seed", "7"]
+        out[f"mc{suffix}_workers1"] = [*mc, "--workers", "1"]
+        out[f"mc{suffix}_workers2"] = [*mc, "--workers", "2"]
     common = ["--scenario", "sec5", "--steps", str(steps)]
-    mc = ["mc", *common, "--runs", str(RUNS), "--seed", "3"]
     return {
-        "run": ["run", *common, "--seed", "7"],
-        "mc_workers1": [*mc, "--workers", "1"],
-        "mc_workers2": [*mc, "--workers", "2"],
+        **out,
         "oracle": ["oracle", *common],
         "compare": ["compare", *common, "--runs", "300", "--seed", "5", "--at", f"0,{steps}"],
         "check_pe": ["check-pe", *common],
@@ -85,9 +95,10 @@ def main() -> int:
     out["noise"] = hashlib.sha256(block).hexdigest()
     print(json.dumps({"steps": args.steps, **out}, sort_keys=True))
     status = 0
-    if out["mc_workers1"] != out["mc_workers2"]:
-        print("mc output differs between one and two workers", file=sys.stderr)
-        status = 1
+    for scenario, suffix in SCENARIOS.items():
+        if out[f"mc{suffix}_workers1"] != out[f"mc{suffix}_workers2"]:
+            print(f"mc output on {scenario} differs between one and two workers", file=sys.stderr)
+            status = 1
     if block != singles:
         print(f"{DRAWS} noise_block draws differ from {DRAWS} sample_noise calls", file=sys.stderr)
         status = 1
