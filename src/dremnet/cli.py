@@ -132,6 +132,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 def _cmd_check_pe(args: argparse.Namespace) -> int:
     if args.h_max < 1:
         raise ValueError(f"--h-max must be positive, got {args.h_max}")
+    if not (np.isfinite(args.omega) and args.omega > 0):
+        raise ValueError(f"--omega: must be finite and positive, got {args.omega}")
     s = load_scenario(args.scenario)
     report = check_scenario(s, h_max=args.h_max, omega=args.omega, horizon=args.steps)
     lines = []

@@ -129,18 +129,19 @@ def step_size(s: StepSchedule, k: int) -> float:
 def schedule_violations(s: StepSchedule, horizon: int) -> list[str]:
     """Finite-horizon audit of the step-size requirements.
 
-    Checks monotone non-increase over 0..horizon-1, which no harmonic
-    schedule fails; both kinds keep alpha in (0, 1] at construction. Tables
-    only certify the checked window.
+    Checks monotone non-increase over 0..horizon-1. No harmonic schedule
+    fails it, and a table holds its last entry beyond its end, so only its
+    first ``horizon`` entries are read; both kinds keep alpha in (0, 1] at
+    construction. Tables only certify the checked window.
     """
-    problems = []
-    prev = None
-    for k in range(horizon):
-        a = step_size(s, k)
-        if prev is not None and a > prev:
-            problems.append(f"alpha({k}) = {a} increases from alpha({k - 1}) = {prev}")
-        prev = a
-    return problems
+    if isinstance(s, HarmonicSchedule):
+        return []
+    vals = s.values[: max(horizon, 0)]
+    return [
+        f"alpha({k}) = {a} increases from alpha({k - 1}) = {prev}"
+        for k, (prev, a) in enumerate(zip(vals, vals[1:]), start=1)
+        if a > prev
+    ]
 
 
 def asymptotic_violations(s: StepSchedule) -> list[str]:

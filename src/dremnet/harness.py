@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
@@ -34,7 +33,7 @@ from .estimator import (
     schedule_violations,
     step_size,
 )
-from .excitation import _search
+from .excitation import find_certificate, single_sensor_pe
 from .model import (
     Constant,
     CustomTable,
@@ -43,6 +42,7 @@ from .model import (
     RecursiveCosine,
     RegressorGenerator,
     _finite,
+    _integer,
     _noise_models,
     noise_block,
     regressor_table,
@@ -88,16 +88,6 @@ def _floats(value, what: str) -> np.ndarray:
     """``value`` as a float array of its own shape, every entry checked by ``model._finite``."""
     entries = np.asarray(value, dtype=object)
     return np.array(_finite(entries.ravel().tolist(), what), dtype=float).reshape(entries.shape)
-
-
-def _integer(value, name: str, least: Optional[int] = None) -> int:
-    """``value`` as an int: a Python or numpy integer, not a bool, and at least ``least`` if given."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        bound = "nonnegative" if least == 0 else f"at least {least}"
-        raise ValueError(f"{name} must be {bound}, got {value}")
-    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -789,6 +779,8 @@ def check_scenario(
     level omega, and audits the step-size schedule. Single-sensor excitation
     is reported informationally; it is allowed to fail.
     """
+    h_max = _integer(h_max, "h_max", 1)
+    _finite((omega,), "omega", positive=True)
     K = _horizon(s, horizon)
     tables = step_tables(s, K)
     problems: list[str] = []
@@ -801,14 +793,11 @@ def check_scenario(
     for i, b in enumerate(bounds, start=1):
         if not math.isfinite(b):
             problems.append(f"sensor {i}: regressor sequence is unbounded")
-    # step_tables refused any non-finite square
-    squares = tables.delta**2
     # margins at the certified H, or without one at the longest window tried,
     # which is never longer than the horizon
-    pe_h, pe_margin = _search(neighborhood_sum(tables.members, squares), s.d, omega, h_max)
+    pe_h, pe_margin = find_certificate(neighborhood_sum(tables.members, tables.delta**2), s.d, omega, h_max)
     h_top = min(h_max, K)
-    # a sensor alone sums only its own squares
-    single_pe_h = _search(squares, s.d, omega, h_max)[0]
+    single_pe_h = single_sensor_pe(tables.delta, s.d, omega, h_max)[0]
     pe_ok = all(h is not None for h in pe_h.values())
     for i, h in pe_h.items():
         if h is None:

@@ -22,7 +22,7 @@ import numbers
 import operator
 import threading
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -61,6 +61,16 @@ def _finite(values, what: str, positive: bool = False) -> tuple[float, ...]:
         if not (math.isfinite(x) and (x > 0.0 or not positive)):
             raise ValueError(f"{what} must be finite{' and positive' if positive else ''}, got {x}")
     return out
+
+
+def _integer(value, name: str, least: Optional[int] = None) -> int:
+    """``value`` as an int: a Python or numpy integer, not a bool, and at least ``least`` if given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)

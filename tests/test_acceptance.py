@@ -13,11 +13,10 @@ import pytest
 from dremnet.analysis import covariance_recursion, mean_recursion
 from dremnet.cli import main
 from dremnet.drem import adjugate, determinant, drem_transform, extend, mix
-from dremnet.excitation import find_certificate, single_sensor_pe
-from dremnet.harness import run_monte_carlo, run_single
+from dremnet.harness import check_scenario, run_monte_carlo, run_single
 
 from test_drem import leibniz_det, oracle_adjugate
-from test_harness import consumption_trail, delta_traces, single_use_problems
+from test_harness import consumption_trail, single_use_problems
 
 
 def _report(criterion: int, description: str, ok: bool, detail: str = "") -> None:
@@ -160,20 +159,15 @@ def test_criterion_6_variance_oracle_and_bound(sec5, mc10k):
 
 
 def test_criterion_7_excitation_audit(sec5):
-    trace = delta_traces(sec5, horizon=200)
-    found = find_certificate(trace, sec5.graph, omega=1.0, max_h=8)
-    all_certified = all(h is not None for h in found.values())
-    sensor4_alone = all(
-        not single_sensor_pe(trace, 4, H, omega=1.0)[0] for H in range(1, 51)
-    )
-    sensor1_h1, margin1 = single_sensor_pe(trace, 1, 1, omega=1.0)
-    ok = all_certified and sensor4_alone and sensor1_h1
+    report = check_scenario(sec5, h_max=50, horizon=200)
+    all_certified = all(h is not None and h <= 8 for h in report.pe_h.values())
+    ok = all_certified and report.single_pe_h[4] is None and report.single_pe_h[1] == 1
     _report(
         7,
         "every sensor certifies neighborhood excitation with H <= 8 (omega=1, "
         "horizon 200); sensor 4 fails alone for all H <= 50; sensor 1 passes alone at H=1",
         ok,
-        f"certificates {found}, sensor-1 margin {margin1}",
+        f"certificates {report.pe_h}, alone {report.single_pe_h}",
     )
 
 

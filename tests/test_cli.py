@@ -224,7 +224,14 @@ class TestCheckPe:
     @pytest.mark.parametrize("omega", ["nan", "inf", "-1"])
     def test_bad_omega(self, omega, capsys):
         assert main(["check-pe", "--steps", "20", "--omega", omega]) == 1
-        assert "error: omega must be finite and positive" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: --omega: must be finite and positive, got {float(omega)}\n"
+
+    @pytest.mark.parametrize("omega", ["nan", "inf", "0", "-1"])
+    def test_bad_omega_refused_before_the_scenario_loads(self, tmp_path, capsys, omega):
+        # a missing scenario file would be the error if the scenario loaded first
+        missing = str(tmp_path / "missing.json")
+        assert main(["check-pe", "--scenario", missing, "--omega", omega]) == 1
+        assert capsys.readouterr().err == f"error: --omega: must be finite and positive, got {float(omega)}\n"
 
 
 class TestOracle:

@@ -12,10 +12,10 @@ import pytest
 from dremnet.analysis import beta, moments, step_coefficients, theorem_check
 from dremnet.drem import extend
 from dremnet.estimator import asymptotic_violations, schedule_violations, step_size
-from dremnet.excitation import MARGIN_REL_TOL, DeltaTrace, local_pe_check
+from dremnet.excitation import MARGIN_REL_TOL, find_certificate, local_pe_check, single_sensor_pe
 from dremnet.harness import check_scenario, step_tables
 from dremnet.model import measure, regressor_table
-from dremnet.topology import closed_in_neighborhood
+from dremnet.topology import closed_in_neighborhood, neighborhood_index, neighborhood_sum
 
 # horizons long enough for several gated updates per sensor and for the
 # time-varying graphs to cycle, short enough for the d=5 adjugates; by
@@ -208,12 +208,13 @@ def test_theorem_check(case):
 
 def test_excitation_margins(case):
     s, K, t, _, _ = case
-    trace = DeltaTrace(values=t["delta"], d=s.d)
+    sums = neighborhood_sum(neighborhood_index(s.graph, K), t["delta"] ** 2)
     want = {H: reference_margins(s, t["delta"], H, K, closed(s)) for H in range(1, H_MAX + 1)}
     for H, margins in want.items():
-        got = local_pe_check(trace, s.graph, H, 1.0).margin
+        got = local_pe_check(sums, s.d, H, 1.0).margin
         assert np.array(got).tobytes() == np.array(margins).tobytes()
     report = check_scenario(s, h_max=H_MAX, horizon=K)
+    assert (report.pe_h, report.pe_margin) == find_certificate(sums, s.d, 1.0, H_MAX)
     for i, h in report.pe_h.items():
         assert report.pe_margin[i] == want[h or H_MAX][i - 1]
     # individual excitation: the smallest H whose windows over the sensor
@@ -224,3 +225,4 @@ def test_excitation_margins(case):
         for i in range(1, s.n + 1)
     }
     assert report.single_pe_h == single_h
+    assert single_sensor_pe(t["delta"], s.d, 1.0, H_MAX)[0] == single_h

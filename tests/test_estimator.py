@@ -82,6 +82,39 @@ class TestStepSchedules:
         assert len(problems) == 1
         assert "increases" in problems[0]
 
+    @staticmethod
+    def per_step_violations(s, horizon):
+        # the audit as a loop over every step's alpha
+        problems, prev = [], None
+        for k in range(horizon):
+            a = step_size(s, k)
+            if prev is not None and a > prev:
+                problems.append(f"alpha({k}) = {a} increases from alpha({k - 1}) = {prev}")
+            prev = a
+        return problems
+
+    @pytest.mark.parametrize("horizon", [0, 1, 2, 3, 5, 9, 40])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (0.1, 0.2),
+            (0.5, 0.25, 0.5, 0.125),
+            (1.0, 0.5, 0.5, 0.25, 0.125, 0.0625, 0.125, 0.03125),  # an increase at step 6
+            (0.3,),
+            tuple(np.random.default_rng(4).uniform(0.01, 1.0, size=20)),
+        ],
+    )
+    def test_violations_match_per_step_loop(self, values, horizon):
+        # tables shorter and longer than the horizon; an increase past the
+        # horizon is not reported
+        s = TableSchedule(values=values)
+        assert schedule_violations(s, horizon) == self.per_step_violations(s, horizon)
+
+    @pytest.mark.parametrize("c", [0.7, 1.0, 3.0, 50.0])
+    def test_violations_harmonic_match_per_step_loop(self, c):
+        s = HarmonicSchedule(c=c)
+        assert schedule_violations(s, 300) == self.per_step_violations(s, 300) == []
+
     @pytest.mark.parametrize("c", [5e-324, sys.float_info.min / 2])
     def test_harmonic_refuses_subnormal_coefficient(self, c):
         # c / k of a subnormal c rounds to 0.0 from k = 2 on, where run_single

@@ -11,7 +11,7 @@ import pytest
 from dremnet import estimator, harness
 from dremnet.analysis import mean_recursion
 from dremnet.estimator import HarmonicSchedule, TableSchedule
-from dremnet.excitation import DeltaTrace, local_pe_check
+from dremnet.excitation import local_pe_check
 from dremnet.harness import (
     CHUNK_RUNS,
     Scenario,
@@ -32,6 +32,8 @@ from dremnet.topology import (
     TableGraph,
     closed_in_neighborhood,
     edges_at,
+    neighborhood_index,
+    neighborhood_sum,
     out_neighbors,
     ring,
 )
@@ -61,9 +63,9 @@ def tiny_scenario(**overrides) -> Scenario:
     return Scenario(**base)
 
 
-def delta_traces(s: Scenario, horizon=None) -> DeltaTrace:
-    """Scalar-regressor traces delta_bar_i(k) for steps 0..horizon-1."""
-    return DeltaTrace(values=step_tables(s, horizon).delta, d=s.d)
+def delta_traces(s: Scenario, horizon=None) -> np.ndarray:
+    """Scalar-regressor traces delta_bar_i(k) for steps 0..horizon-1, as an (n, horizon) array."""
+    return step_tables(s, horizon).delta
 
 
 def consumption_trail(s: Scenario, run) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -517,19 +519,19 @@ class TestStepTables:
         trace = delta_traces(sec5, horizon=120)
         k = np.arange(120)
         # warm-up step 0 is zero for everyone
-        assert np.all(trace.values[:, 0] == 0.0)
+        assert np.all(trace[:, 0] == 0.0)
         # sensor 1: exact alternating integer determinants
         expected1 = np.where(k % 2 == 1, -1.0, 1.0)
-        assert np.array_equal(trace.values[0, 1:], expected1[1:])
+        assert np.array_equal(trace[0, 1:], expected1[1:])
         # sensors 2 and 3: cosine differences of the accumulated recursions
         np.testing.assert_allclose(
-            trace.values[1, 1:], np.cos(k[1:] * np.pi / 4), atol=1e-12
+            trace[1, 1:], np.cos(k[1:] * np.pi / 4), atol=1e-12
         )
         np.testing.assert_allclose(
-            trace.values[2, 1:], -np.cos(k[1:] * np.pi / 2), atol=1e-12
+            trace[2, 1:], -np.cos(k[1:] * np.pi / 2), atol=1e-12
         )
         # sensor 4: constant regressor, identically zero
-        assert np.all(trace.values[3] == 0.0)
+        assert np.all(trace[3] == 0.0)
 
     def test_effective_cadence(self, sec5):
         tables = step_tables(sec5, horizon=500)
@@ -955,11 +957,11 @@ class TestCheckScenario:
         # windows longer than the horizon are not tried; margins and messages
         # are reported at the certified window, or without one at the capped one
         report = check_scenario(s, h_max=8, horizon=K)
-        trace = delta_traces(s, horizon=K)
+        sums = neighborhood_sum(neighborhood_index(s.graph, K), delta_traces(s, horizon=K) ** 2)
         top = min(8, K)
         for i, h in report.pe_h.items():
             assert h is None or h <= top
-            cert = local_pe_check(trace, s.graph, h or top, 1.0)
+            cert = local_pe_check(sums, s.d, h or top, 1.0)
             assert report.pe_margin[i] == cert.margin[i - 1]
             if h is None:
                 assert f"H <= {top}, omega = 1.0 (margin" in "".join(report.problems)
@@ -975,6 +977,30 @@ class TestCheckScenario:
     def test_margins_of_generated_scenarios(self, name, K, request):
         # at K = 300 no sensor of table_d5 is certified, so every margin is at H = 8
         self.assert_margins_at_certified_window(request.getfixturevalue(name), K)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (dict(h_max=2.5), "h_max must be an integer, got 2.5"),
+            (dict(h_max=True), "h_max must be an integer, got True"),
+            (dict(h_max=0), "h_max must be at least 1, got 0"),
+            (dict(omega="1"), "omega must be a number, got '1'"),
+            (dict(omega=True), "omega must be a number, got True"),
+            (dict(omega=float("nan")), "omega must be finite and positive, got nan"),
+            (dict(omega=0.0), "omega must be finite and positive, got 0.0"),
+        ],
+    )
+    def test_argument_validation(self, sec5, args, message):
+        # as run_monte_carlo checks its own: a ValueError naming the argument
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_scenario(sec5, horizon=50, **args)
+
+    def test_integer_arguments_accepted(self, sec5):
+        ref = check_scenario(sec5, h_max=3, omega=1.0, horizon=50)
+        got = check_scenario(sec5, h_max=np.int64(3), omega=np.float64(1.0), horizon=np.int32(50))
+        assert (got.pe_h, got.pe_margin, got.single_pe_h, got.problems) == (
+            ref.pe_h, ref.pe_margin, ref.single_pe_h, ref.problems
+        )
 
     def test_horizon_zero_still_raises(self, sec5):
         with pytest.raises(ValueError, match="horizon 0 is shorter than the window H=1"):

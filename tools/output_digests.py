@@ -5,10 +5,11 @@
 Runs ``run``, ``mc --workers 1``, ``mc --workers 2``, ``oracle``,
 ``compare --out`` and ``check-pe`` on the builtin sec5 scenario in a
 temporary directory, importing the package from ``src/`` beside this
-directory. ``run_periodic_d3``, ``mc_periodic_d3_workers1`` and
-``mc_periodic_d3_workers2`` run the same ``run`` and ``mc`` commands on
-``periodic_d3.json`` beside this file: d = 3 over a two-stage periodic graph,
-so time-varying neighbourhoods show in the bytes. Two checkouts that print
+directory. ``run_periodic_d3``, ``mc_periodic_d3_workers1``,
+``mc_periodic_d3_workers2`` and ``check_pe_periodic_d3`` run the same ``run``,
+``mc`` and ``check-pe`` commands on ``periodic_d3.json`` beside this file:
+d = 3 over a two-stage periodic graph, so time-varying neighbourhoods show in
+the bytes. Two checkouts that print
 the same line write the same bytes. The Monte Carlo commands use three
 chunks of runs, so two workers really split them. ``noise`` digests the
 bytes of 1000 ``noise_block`` draws of sec5's sensor 1 under seed 7, so a
@@ -52,12 +53,12 @@ def commands(steps: int) -> dict[str, list[str]]:
         out[f"run{suffix}"] = ["run", *common, "--seed", "7"]
         out[f"mc{suffix}_workers1"] = [*mc, "--workers", "1"]
         out[f"mc{suffix}_workers2"] = [*mc, "--workers", "2"]
+        out[f"check_pe{suffix}"] = ["check-pe", *common]
     common = ["--scenario", "sec5", "--steps", str(steps)]
     return {
         **out,
         "oracle": ["oracle", *common],
         "compare": ["compare", *common, "--runs", "300", "--seed", "5", "--at", f"0,{steps}"],
-        "check_pe": ["check-pe", *common],
     }
 
 
