@@ -31,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .harness import Scenario, _horizon, check_scenario, step_rows, step_tables, write_csv
+from .model import _finite
 from .topology import neighborhood_values
 
 __all__ = [
@@ -49,9 +50,8 @@ __all__ = [
 
 def beta(alpha: float, mu: float, gated_sum: float) -> float:
     """Contraction factor alpha * S / (mu + S); always in [0, alpha]."""
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    if gated_sum < 0:
+    _finite((mu,), "mu", positive=True)
+    if _finite((gated_sum,), "gated sum")[0] < 0.0:
         raise ValueError(f"gated sum must be nonnegative, got {gated_sum}")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")

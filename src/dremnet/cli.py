@@ -25,6 +25,7 @@ from .harness import (
     step_rows,
     write_csv,
 )
+from .model import _finite
 
 __all__ = ["main", "build_parser"]
 
@@ -83,13 +84,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_counts(args: argparse.Namespace) -> None:
-    """Refuse a --steps, --runs or --workers below its least value before any scenario loads."""
-    # compare needs two runs to estimate a variance
-    least = {"steps": 0, "runs": 2 if args.command == "compare" else 1, "workers": 1}
-    for option, low in least.items():
+    """Refuse a --steps, --runs, --workers or --h-max below its least value before any scenario loads."""
+    # check-pe needs a step to scan, and compare two runs to estimate a variance
+    steps, runs = (1 if args.command == "check-pe" else 0), (2 if args.command == "compare" else 1)
+    for option, low in {"steps": steps, "runs": runs, "workers": 1, "h_max": 1}.items():
         value = getattr(args, option, None)
         if value is not None and value < low:
-            raise ValueError(f"--{option}: must be at least {low}, got {value}")
+            raise ValueError(f"--{option.replace('_', '-')}: must be at least {low}, got {value}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -130,10 +131,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_pe(args: argparse.Namespace) -> int:
-    if args.h_max < 1:
-        raise ValueError(f"--h-max must be positive, got {args.h_max}")
-    if not (np.isfinite(args.omega) and args.omega > 0):
-        raise ValueError(f"--omega: must be finite and positive, got {args.omega}")
+    _finite((args.omega,), "--omega:", positive=True)
     s = load_scenario(args.scenario)
     report = check_scenario(s, h_max=args.h_max, omega=args.omega, horizon=args.steps)
     lines = []

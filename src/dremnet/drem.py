@@ -26,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "DremMessage",
-    "stack_regressors",
     "determinant",
     "adjugate",
     "extend",
@@ -35,22 +34,6 @@ __all__ = [
 ]
 
 _COFACTOR_MAX = 4
-
-
-def stack_regressors(history: Sequence[np.ndarray]) -> np.ndarray:
-    """Stack the last d regressors (rows or a (d, d) array), newest first, into a matrix.
-
-    ``history[0]`` is phi(k) and becomes row 0; ``history[d-1]`` is
-    phi(k-d+1) and becomes the last row. A (d, d) float64 array, such as a
-    window view of a regressor table, comes back as is, not copied.
-    """
-    d = len(history)
-    if d == 0:
-        raise ValueError("history must contain at least one regressor")
-    m = np.asarray(history, dtype=float)
-    if m.shape != (d, d):
-        raise ValueError(f"need {d} regressors of length {d}, got shape {m.shape}")
-    return m
 
 
 # the one copy of the 2x2 determinant formula, for the matrix [[p, q], [r, s]]
@@ -123,8 +106,9 @@ def _adj(a: list) -> np.ndarray:
 
 def _square_rows(m: np.ndarray, what: str) -> list:
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
-        raise ValueError(f"{what} needs a non-empty square matrix, got shape {m.shape}")
+    shape = m.shape  # read once: extend runs this check once per window
+    if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
+        raise ValueError(f"{what} needs a non-empty square matrix, got shape {shape}")
     return m.tolist()
 
 
@@ -139,8 +123,8 @@ def adjugate(m: np.ndarray) -> np.ndarray:
 
 
 def extend(history: Sequence[np.ndarray]) -> tuple[float, np.ndarray]:
-    """(det, adj) of the extended regressor stacked from the last d regressors, newest first."""
-    a = stack_regressors(history).tolist()
+    """(det, adj) of the extended regressor stacked from the last d regressors (rows or a (d, d) array), newest first."""
+    a = _square_rows(history, "extend")
     if len(a) != 2:
         return _det(a), _adj(a)
     (p, q), (r, s) = a

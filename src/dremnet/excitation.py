@@ -48,8 +48,6 @@ class PeCertificate:
     compares it against omega with MARGIN_REL_TOL relative slack.
     """
 
-    H: int
-    omega: float
     satisfied: tuple[bool, ...]
     margin: tuple[float, ...]
 
@@ -84,10 +82,7 @@ def local_pe_check(step_sums, d: int, H: int, omega: float) -> PeCertificate:
     start = min(d - 1, horizon - H)
     margins = [_window_margin(row, H, start, horizon) for row in sums]
     return PeCertificate(
-        H=H,
-        omega=omega,
-        satisfied=tuple(m >= omega * (1.0 - MARGIN_REL_TOL) for m in margins),
-        margin=tuple(margins),
+        satisfied=tuple(m >= omega * (1.0 - MARGIN_REL_TOL) for m in margins), margin=tuple(margins)
     )
 
 

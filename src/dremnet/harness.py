@@ -370,6 +370,13 @@ def _overflow(sensor: int, k: int, what: str = "the measurement or DREM message"
     return ValueError(f"sensor {sensor}, step {k}: {what} overflows float64; scale the regressors down")
 
 
+def _refuse_nonfinite(finite: np.ndarray, *what: str) -> None:
+    """Raise ``_overflow`` (with ``what``, if given) at the first False entry of the (n, K) ``finite`` in step order."""
+    if not finite.all():
+        k, i = np.argwhere(~finite.T)[0]  # the first that run_single meets
+        raise _overflow(int(i) + 1, int(k), *what)
+
+
 def _noise_free(s: Scenario, K: int) -> tuple[np.ndarray, np.ndarray]:
     """The regressors phi (n, K, d) and noise-free measurements theta' phi (n, K), which the caller checks."""
     phi = np.array([regressor_table(g, K) for g in s.generators])
@@ -383,7 +390,8 @@ def step_tables(s: Scenario, horizon: Optional[int] = None) -> StepTables:
 
     Raises ValueError if a noise-free measurement theta' phi_i(k), a squared
     delta_bar_i(k) or a noise-free ybar_i(k) is not finite, naming the first
-    (step, sensor) in step order.
+    (step, sensor) in step order, and then likewise if the neighborhood sum of
+    squared delta_bar that an update divides by is not finite.
     """
     K = _horizon(s, horizon)
     n, d = s.n, s.d
@@ -396,6 +404,7 @@ def step_tables(s: Scenario, horizon: Optional[int] = None) -> StepTables:
         if windows:
             delta[i, d - 1 :], adj[i, d - 1 :] = zip(*windows)
     ybar = np.zeros((n, K, d))
+    members = neighborhood_index(s.graph, K)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         # the noise-free messages, ybar(k) = sum over r of adj(k)[:, r] y(k - r);
         # zero in the warm-up steps, where adj is zero
@@ -403,12 +412,9 @@ def step_tables(s: Scenario, horizon: Optional[int] = None) -> StepTables:
             ybar[:, r:] += adj[:, r:, :, r] * y_det[:, : K - r, None]
         squares = delta * delta
         finite = np.isfinite(y_det) & np.isfinite(squares) & np.isfinite(ybar).all(axis=2)
-    if not finite.all():
-        k, i = np.argwhere(~finite.T)[0]  # the first that run_single meets
-        raise _overflow(int(i) + 1, int(k))
+        full = neighborhood_sum(members, squares)
+    _refuse_nonfinite(finite)
     alpha = np.array([step_size(s.schedule, k) for k in range(K)])
-    members = neighborhood_index(s.graph, K)
-    full = neighborhood_sum(members, squares)
     # read from the module at call time, so the tables and node_step share one rule
     updates = estimator.updates
     counts = []
@@ -419,6 +425,9 @@ def step_tables(s: Scenario, horizon: Optional[int] = None) -> StepTables:
         counts.append(trail)
     counters = np.array(counts, dtype=np.int64)
     eff = counters[:, 1:] == 0
+    gated_sum = np.where(eff, full, 0.0)
+    # finite squares whose sum overflows; at a step without an update the sum is only compared with 0
+    _refuse_nonfinite(np.isfinite(gated_sum), "the neighborhood sum of squared delta_bar")
     return StepTables(
         horizon=K,
         phi=phi,
@@ -427,7 +436,7 @@ def step_tables(s: Scenario, horizon: Optional[int] = None) -> StepTables:
         adj=adj,
         alpha=alpha,
         members=members,
-        gated_sum=np.where(eff, full, 0.0),
+        gated_sum=gated_sum,
         effective=eff,
         counters=counters,
     )

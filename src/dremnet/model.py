@@ -65,12 +65,21 @@ def _finite(values, what: str, positive: bool = False) -> tuple[float, ...]:
 
 def _integer(value, name: str, least: Optional[int] = None) -> int:
     """``value`` as an int: a Python or numpy integer, not a bool, and at least ``least`` if given."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    # the exact-type test first, so a plain int skips the ABC checks
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         bound = "nonnegative" if least == 0 else f"at least {least}"
         raise ValueError(f"{name} must be {bound}, got {value}")
     return int(value)
+
+
+def _sensor(value, n: int) -> int:
+    """``value`` as a sensor id: an integer in 1..n, checked as ``_integer`` checks one."""
+    i = _integer(value, "sensor id")
+    if not 1 <= i <= n:
+        raise ValueError(f"sensor id {i} outside 1..{n}")
+    return i
 
 
 @dataclass(frozen=True)
@@ -132,9 +141,7 @@ class RecursiveCosine:
         object.__setattr__(self, "base", _finite(self.base, "base entry"))
         for name in ("initial", "angle_step"):
             object.__setattr__(self, name, _finite((getattr(self, name),), name)[0])
-        if isinstance(self.slot, bool) or not isinstance(self.slot, numbers.Integral):
-            raise ValueError(f"slot must be an integer, got {self.slot!r}")
-        if not 0 <= self.slot < len(self.base):
+        if not 0 <= _integer(self.slot, "slot") < len(self.base):
             raise ValueError(f"slot {self.slot} outside base of length {len(self.base)}")
 
     @property
@@ -184,16 +191,12 @@ def regressor_at(gen: RegressorGenerator, k: int) -> np.ndarray:
     A recursive cosine runs its recursion up to k on every call, so reading
     many steps costs less through :func:`regressor_table`.
     """
-    if k < 0:
-        raise ValueError(f"regressor index must be >= 0, got {k}")
-    return gen.rows(np.array([k]))[0]
+    return gen.rows(np.array([_integer(k, "step index", 0)]))[0]
 
 
 def regressor_table(gen: RegressorGenerator, steps: int) -> np.ndarray:
     """phi(0), ..., phi(steps-1) as a (steps, d) array, row k equal to ``regressor_at(gen, k)``."""
-    if steps < 0:
-        raise ValueError(f"step count must be >= 0, got {steps}")
-    return gen.rows(np.arange(steps))
+    return gen.rows(np.arange(_integer(steps, "step count", 0)))
 
 
 @dataclass(frozen=True)
@@ -217,6 +220,7 @@ class NoiseModel:
         for i, r in enumerate(self.variances, start=1):
             if r < 0.0:
                 raise ValueError(f"noise variance R_{i} must be >= 0, got {r}")
+        _integer(self.seed, "seed")
         (keys,) = _seed_keys([self.seed], range(1, len(self.variances) + 1)).tolist()
         object.__setattr__(self, "_keys", keys)
 
@@ -280,11 +284,6 @@ def _noise_models(variances: tuple[float, ...], seeds) -> list[NoiseModel]:
     return models
 
 
-def _check_sensor(model: NoiseModel, sensor: int) -> None:
-    if not 1 <= sensor <= len(model.variances):
-        raise ValueError(f"sensor id {sensor} outside 1..{len(model.variances)}")
-
-
 # one generator per thread, so a model may be drawn from in several at once
 _local = threading.local()
 
@@ -330,9 +329,8 @@ def noise_block(model: NoiseModel, sensor: int, steps: int) -> np.ndarray:
     Bit-identical to calling :func:`sample_noise` at each k; the block form
     exists because Monte Carlo runs consume whole horizons at once.
     """
-    _check_sensor(model, sensor)
-    if steps <= 0:
-        return np.zeros(0)
+    _sensor(sensor, len(model.variances))
+    steps = _integer(steps, "step count", 0)
     return _normals(model, sensor, 0, -(-steps // 4))[:steps]
 
 
@@ -343,9 +341,11 @@ def sample_noise(model: NoiseModel, sensor: int, k: int) -> float:
     per sensor until another replaces it. Blocks come from this thread's fully reset
     generator, so draws may come in any order, between :func:`noise_block` calls, from any thread.
     """
-    _check_sensor(model, sensor)
+    # plain comparisons, as this runs once per (sensor, step); the wording is _sensor's and _integer's
+    if not 1 <= sensor <= len(model.variances):
+        raise ValueError(f"sensor id {sensor} outside 1..{len(model.variances)}")
     if k < 0:
-        raise ValueError(f"time step must be >= 0, got {k}")
+        raise ValueError(f"step index must be nonnegative, got {k}")
     counter = _BLOCK_COUNTERS * (k // (4 * _BLOCK_COUNTERS))
     block = model._blocks.get(sensor)
     if block is None or block[0] != counter:

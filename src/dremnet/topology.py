@@ -17,6 +17,8 @@ from typing import Union
 
 import numpy as np
 
+from .model import _integer, _sensor
+
 __all__ = [
     "StaticGraph",
     "PeriodicGraph",
@@ -36,14 +38,13 @@ Edge = tuple[int, int]
 
 
 def _edge_sets(n: int, sets, label: str, empty: str) -> tuple[tuple[Edge, ...], ...]:
-    """The edge sets as tuples of (from, to) pairs, checked against n sensors.
+    """The edge sets as tuples of (from, to) pairs, checked against n sensors, n an integer >= 1.
 
     Endpoints must be integers (bool excluded) in 1..n, with no self-loops,
     and ``sets`` must be non-empty (else ValueError ``empty``). A ValueError
     lists every bad edge under its set, named by ``label.format(index)``.
     """
-    if n < 1:
-        raise ValueError(f"need at least one sensor, got n={n}")
+    _integer(n, "n", 1)
     frozen = tuple(tuple((j, i) for (j, i) in edges) for edges in sets)
     if not frozen:
         raise ValueError(empty)
@@ -107,32 +108,25 @@ def StaticGraph(n: int, edges) -> PeriodicGraph:
 
 def ring(n: int) -> PeriodicGraph:
     """Directed ring 1 -> 2 -> ... -> n -> 1."""
-    if n < 2:
+    if _integer(n, "n") < 2:
         raise ValueError(f"a ring needs at least two sensors, got n={n}")
     return StaticGraph(n, tuple((i, i % n + 1) for i in range(1, n + 1)))
 
 
 def edges_at(g: GraphSchedule, k: int) -> tuple[Edge, ...]:
     """Edge set active at step k."""
-    if k < 0:
-        raise ValueError(f"step index must be nonnegative, got {k}")
-    return g.edges_at(k)
-
-
-def _check_sensor(g: GraphSchedule, i: int) -> None:
-    if not 1 <= i <= g.n:
-        raise ValueError(f"sensor id {i} out of range for n={g.n}")
+    return g.edges_at(_integer(k, "step index", 0))
 
 
 def in_neighbors(g: GraphSchedule, i: int, k: int) -> tuple[int, ...]:
     """Sensors whose step-k messages reach sensor i, ascending, i excluded."""
-    _check_sensor(g, i)
+    i = _sensor(i, g.n)
     return tuple(sorted({j for (j, r) in edges_at(g, k) if r == i and j != i}))
 
 
 def out_neighbors(g: GraphSchedule, j: int, k: int) -> tuple[int, ...]:
     """Sensors that receive sensor j's step-k message, ascending, j excluded."""
-    _check_sensor(g, j)
+    j = _sensor(j, g.n)
     return tuple(sorted({r for (s, r) in edges_at(g, k) if s == j and r != j}))
 
 
@@ -148,7 +142,8 @@ def neighborhood_index(g: GraphSchedule, horizon: int) -> np.ndarray:
     indices padded with -1; computed once per distinct edge set.
     """
     stages: dict[tuple[Edge, ...], tuple[int, int]] = {}  # edge set -> (row, first step)
-    pos = [stages.setdefault(edges_at(g, k), (len(stages), k))[0] for k in range(horizon)]
+    # every k of the range is a valid step, so the schedule is read without edges_at's check
+    pos = [stages.setdefault(g.edges_at(k), (len(stages), k))[0] for k in range(horizon)]
     hoods = [
         [closed_in_neighborhood(g, i, k) for i in range(1, g.n + 1)] for _, k in stages.values()
     ]

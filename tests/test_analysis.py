@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
@@ -56,6 +57,12 @@ class TestBeta:
             beta(0.5, 0.0, 1.0)
         with pytest.raises(ValueError):
             beta(0.5, 0.1, -1.0)
+
+    def test_nan_refused(self):
+        with pytest.raises(ValueError, match="^mu must be finite and positive, got nan$"):
+            beta(0.5, math.nan, 1.0)
+        with pytest.raises(ValueError, match="^gated sum must be finite, got nan$"):
+            beta(0.5, 0.1, math.nan)
 
 
 def mixed_noise_variance(phi: np.ndarray, variance: float, channel: int) -> float:

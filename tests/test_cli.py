@@ -43,7 +43,8 @@ class TestRun:
         # a missing scenario file would be the error if the scenario loaded first
         missing = str(tmp_path / "missing.json")
         assert main([command, "--scenario", missing, "--steps", "-1"]) == 1
-        assert capsys.readouterr().err == "error: --steps: must be at least 0, got -1\n"
+        least = 1 if command == "check-pe" else 0  # check-pe needs a step to scan
+        assert capsys.readouterr().err == f"error: --steps: must be at least {least}, got -1\n"
 
 
 class TestMc:
@@ -166,7 +167,14 @@ class TestCheckPe:
     @pytest.mark.parametrize("h_max", ["0", "-3"])
     def test_bad_h_max(self, h_max, capsys):
         assert main(["check-pe", "--steps", "20", "--h-max", h_max]) == 1
-        assert f"error: --h-max must be positive, got {h_max}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: --h-max: must be at least 1, got {h_max}\n"
+
+    @pytest.mark.parametrize("option, value", [("--steps", "0"), ("--h-max", "0"), ("--h-max", "-3")])
+    def test_counts_refused_before_the_scenario_loads(self, tmp_path, capsys, option, value):
+        # a missing scenario file would be the error if the scenario loaded first
+        missing = str(tmp_path / "missing.json")
+        assert main(["check-pe", "--scenario", missing, option, value]) == 1
+        assert capsys.readouterr().err == f"error: {option}: must be at least 1, got {value}\n"
 
     @pytest.mark.parametrize("c", ["1e999", '"nan"', '"0.7"'])
     def test_step_coefficient_checked(self, tmp_path, capsys, c):

@@ -10,7 +10,6 @@ from dremnet.drem import (
     drem_transform,
     extend,
     mix,
-    stack_regressors,
 )
 from dremnet.model import regressor_table
 
@@ -127,21 +126,25 @@ class TestAdjugate:
 
 
 class TestStacking:
+    # extend stacks the history newest first: history[0] is phi(k) and becomes row 0
     def test_newest_first_layout(self):
         newest = np.array([2.0, 3.0])
         older = np.array([1.0, 2.0])
-        m = stack_regressors([newest, older])
-        assert np.array_equal(m[0], newest)
-        assert np.array_equal(m[1], older)
+        det, adj = extend([newest, older])
+        m = np.array([newest, older])
+        assert det == determinant(m) == 1.0
+        assert adj.tobytes() == adjugate(m).tobytes()
+        assert np.array_equal(adj @ m, det * np.eye(2))
 
     def test_shape_errors(self):
-        with pytest.raises(ValueError):
-            stack_regressors([])
-        with pytest.raises(ValueError):
-            stack_regressors([np.array([1.0, 2.0])])  # 1 vector of length 2
-        with pytest.raises(ValueError):
-            stack_regressors([np.ones(3), np.ones(3)])
-
+        for history, shape in (
+            ([], "(0,)"),
+            ([np.array([1.0, 2.0])], "(1, 2)"),  # 1 vector of length 2
+            ([np.ones(3), np.ones(3)], "(2, 3)"),
+        ):
+            with pytest.raises(ValueError) as error:
+                extend(history)
+            assert str(error.value) == f"extend needs a non-empty square matrix, got shape {shape}"
 
     @pytest.mark.parametrize("singular", [False, True], ids=["regular", "singular"])
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -160,13 +163,11 @@ class TestStacking:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_extend_leaves_a_read_only_view_alone(self, d):
-        # the table build passes reversed window views of the regressor table,
-        # which stack_regressors hands back uncopied
+        # the table build passes reversed window views of the regressor table
         table = np.random.default_rng(10 + d).normal(size=(d + 2, d)).round(3)
         table.flags.writeable = False
         before = table.tobytes()
         window = table[::-1][1 : d + 1]
-        assert stack_regressors(window) is window
         (got_det, got_adj), (want_det, want_adj) = extend(window), extend(window.copy())
         assert np.float64(got_det).tobytes() == np.float64(want_det).tobytes()
         assert got_adj.tobytes() == want_adj.tobytes()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dremnet import estimator, harness
-from dremnet.analysis import mean_recursion
+from dremnet.analysis import mean_recursion, moments, theorem_check
 from dremnet.estimator import HarmonicSchedule, TableSchedule
 from dremnet.excitation import local_pe_check
 from dremnet.harness import (
@@ -166,11 +166,13 @@ class TestLoading:
         s2 = load_scenario(str(p))
         assert s2.mu == s.mu
 
-    def test_periodic_d3_file_equals_fixture(self, periodic_d3):
-        # tools/output_digests.py runs the command line on this file as periodic_d3
-        s = load_scenario(Path(__file__).resolve().parent.parent / "tools" / "periodic_d3.json")
+    @pytest.mark.parametrize("name", ["periodic_d3", "table_d5"])
+    def test_tools_file_equals_fixture(self, name, request):
+        # tools/output_digests.py runs the command line on tools/<name>.json
+        s = load_scenario(Path(__file__).resolve().parent.parent / "tools" / f"{name}.json")
+        fixture = request.getfixturevalue(name)
         for field in dataclasses.fields(Scenario):
-            got, want = getattr(s, field.name), getattr(periodic_d3, field.name)
+            got, want = getattr(s, field.name), getattr(fixture, field.name)
             if isinstance(want, np.ndarray):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), field.name
             else:
@@ -629,6 +631,41 @@ class TestEstimateOverflow:
             run_monte_carlo(s, runs=3, base_seed=0)
         sensor, step = map(int, re.match(r"sensor (\d+), step (\d+): the estimate", str(error.value)).groups())
         assert tables.effective[sensor - 1, step]
+
+
+def sum_overflow_scenario() -> Scenario:
+    # d = 1 and the one edge 1 -> 2: every squared regressor is finite, but
+    # sensor 2's neighbourhood sum 1.69e308 + 1.44e308 is not, and sensor 2
+    # first updates at step 1
+    return Scenario(
+        theta=np.array([1.0]),
+        generators=(Constant(vector=(1.3e154,)), Constant(vector=(1.2e154,))),
+        variances=(1.0, 1.0),
+        graph=StaticGraph(2, ((1, 2),)),
+        schedule=HarmonicSchedule(c=0.7),
+        mu=(0.1, 0.1),
+        theta_hat0=np.zeros((2, 1)),
+        horizon=5,
+    )
+
+
+class TestNeighborhoodSumOverflow:
+    WANT = "sensor 2, step 1: the neighborhood sum of squared delta_bar overflows float64; scale the regressors down"
+
+    @pytest.mark.parametrize(
+        "entry",
+        [step_tables, check_scenario, moments, theorem_check, lambda s: run_monte_carlo(s, runs=2, base_seed=0)],
+        ids=["step_tables", "check_scenario", "moments", "theorem_check", "run_monte_carlo"],
+    )
+    def test_table_readers_refuse_alike(self, entry):
+        # one error naming the place, and no RuntimeWarning from the sum
+        with pytest.raises(ValueError) as error:
+            entry(sum_overflow_scenario())
+        assert str(error.value) == self.WANT
+
+    def test_run_single_names_the_same_sensor_and_step(self):
+        with pytest.raises(ValueError, match=r"^sensor 2, step 1: the estimate overflows float64"):
+            run_single(sum_overflow_scenario(), seed=1)
 
 
 class TestRunSingle:

@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import re
 import sys
 import threading
 
@@ -115,8 +116,12 @@ class TestConstantAndTable:
         assert np.array_equal(regressor_at(gen, 5), [0.0, 1.0])
 
     def test_negative_step_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^step index must be nonnegative, got -1$"):
             regressor_at(Constant(vector=(1.0,)), -1)
+
+    def test_step_is_an_integer(self):
+        with pytest.raises(ValueError, match=r"^step index must be an integer, got 1\.5$"):
+            regressor_at(Constant(vector=(1.0,)), 1.5)
 
 
 def one_of_each_kind():
@@ -141,8 +146,12 @@ class TestRegressorTable:
         assert got.tobytes() == want.tobytes()
 
     def test_negative_steps_rejected(self):
-        with pytest.raises(ValueError, match="step count"):
+        with pytest.raises(ValueError, match="^step count must be nonnegative, got -1$"):
             regressor_table(Constant(vector=(1.0,)), -1)
+
+    def test_step_count_is_an_integer(self):
+        with pytest.raises(ValueError, match=r"^step count must be an integer, got 2\.5$"):
+            regressor_table(Constant(vector=(1.0,)), 2.5)
 
 
 class TestRecursionCache:
@@ -482,10 +491,22 @@ class TestNoise:
         with pytest.raises(ValueError):
             NoiseModel(variances=(-1.0,), seed=0)
         nm = NoiseModel(variances=(1.0,), seed=0)
-        with pytest.raises(ValueError):
-            sample_noise(nm, 2, 0)
-        with pytest.raises(ValueError):
+        # the per-step draw keeps plain comparisons, worded as noise_block's checks
+        for draw in (sample_noise, noise_block):
+            with pytest.raises(ValueError, match=r"^sensor id 2 outside 1\.\.1$"):
+                draw(nm, 2, 0)
+        with pytest.raises(ValueError, match="^step index must be nonnegative, got -1$"):
             sample_noise(nm, 1, -1)
+        with pytest.raises(ValueError, match=r"^sensor id must be an integer, got 1\.5$"):
+            noise_block(nm, 1.5, 3)
+
+    @pytest.mark.parametrize("steps, message", [(-5, "must be nonnegative, got -5"), (2.5, "must be an integer, got 2.5")])
+    def test_block_step_count_checked(self, steps, message):
+        # refused as regressor_table refuses it; zero steps is an empty block
+        with pytest.raises(ValueError, match=f"^step count {re.escape(message)}$"):
+            noise_block(NoiseModel(variances=(1.0,), seed=0), 1, steps)
+        block = noise_block(NoiseModel(variances=(1.0,), seed=0), 1, 0)
+        assert block.shape == (0,) and block.dtype == np.float64
 
 
 class TestSeedKeys:
@@ -532,8 +553,9 @@ class TestSeedKeys:
         # a numpy seed keys the stream its Python int does; before, it raised
         # OverflowError at the first draw, as a float seed did
         assert NoiseModel(variances=(1.0,), seed=np.int64(5))._keys == NoiseModel(variances=(1.0,), seed=5)._keys
-        with pytest.raises(TypeError):
-            NoiseModel(variances=(1.0,), seed=1.5)
+        for seed in (1.5, "3", True):
+            with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+                NoiseModel(variances=(1.0,), seed=seed)
 
     def test_batch_models_check_variances_once(self):
         with pytest.raises(ValueError, match="R_2 must be >= 0"):

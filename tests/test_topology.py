@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -67,14 +69,45 @@ class TestNeighborQueries:
 
     def test_sensor_range_checked(self):
         g = ring(3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^sensor id 0 outside 1\.\.3$"):
             in_neighbors(g, 0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^sensor id 4 outside 1\.\.3$"):
             out_neighbors(g, 4, 0)
 
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
             edges_at(ring(3), -1)
+
+    def test_step_is_an_integer(self):
+        with pytest.raises(ValueError, match=r"^step index must be an integer, got 1\.5$"):
+            edges_at(ring(3), 1.5)
+
+    @pytest.mark.parametrize("query", [in_neighbors, out_neighbors])
+    @pytest.mark.parametrize("sensor", [1.5, True])
+    def test_sensor_is_an_integer(self, query, sensor):
+        with pytest.raises(ValueError, match=rf"^sensor id must be an integer, got {sensor!r}$"):
+            query(ring(3), sensor, 0)
+
+
+class TestSensorCount:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda n: PeriodicGraph(n=n, stages=(((1, 2),),)), lambda n: TableGraph(n=n, table=(((1, 2),),))],
+        ids=["periodic", "table"],
+    )
+    @pytest.mark.parametrize("n", [True, 2.5, "2"], ids=["bool", "float", "str"])
+    def test_n_is_an_integer(self, make, n):
+        with pytest.raises(ValueError, match=rf"^n must be an integer, got {re.escape(repr(n))}$"):
+            make(n)
+
+    def test_ring_n_is_an_integer(self):
+        with pytest.raises(ValueError, match=r"^n must be an integer, got 3\.0$"):
+            ring(3.0)
+
+    def test_numpy_n_accepted_and_zero_refused(self):
+        assert in_neighbors(ring(np.int64(3)), 1, 0) == (3,)
+        with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
+            TableGraph(n=0, table=((),))
 
 
 class TestTimeVarying:

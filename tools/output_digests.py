@@ -1,4 +1,4 @@
-"""Print the SHA-256 of every CSV the command line writes on sec5 and periodic_d3, as one JSON line.
+"""Print the SHA-256 of every CSV the command line writes on sec5, periodic_d3 and table_d5, as one JSON line.
 
     python tools/output_digests.py --steps 1000
 
@@ -9,7 +9,9 @@ directory. ``run_periodic_d3``, ``mc_periodic_d3_workers1``,
 ``mc_periodic_d3_workers2`` and ``check_pe_periodic_d3`` run the same ``run``,
 ``mc`` and ``check-pe`` commands on ``periodic_d3.json`` beside this file:
 d = 3 over a two-stage periodic graph, so time-varying neighbourhoods show in
-the bytes. Two checkouts that print
+the bytes. The ``_table_d5`` outputs do the same on ``table_d5.json``: d = 5,
+so determinants take the Bareiss path, over a table graph with edgeless
+steps and custom-table regressors. Two checkouts that print
 the same line write the same bytes. The Monte Carlo commands use three
 chunks of runs, so two workers really split them. ``noise`` digests the
 bytes of 1000 ``noise_block`` draws of sec5's sensor 1 under seed 7, so a
@@ -41,7 +43,10 @@ from dremnet.model import NoiseModel, noise_block, sample_noise  # noqa: E402
 RUNS = 2 * CHUNK_RUNS + 1
 DRAWS = 1000
 # scenario -> the suffix of its output names
-SCENARIOS = {"sec5": "", str(Path(__file__).with_name("periodic_d3.json")): "_periodic_d3"}
+SCENARIOS = {
+    "sec5": "",
+    **{str(Path(__file__).with_name(f"{name}.json")): f"_{name}" for name in ("periodic_d3", "table_d5")},
+}
 
 
 def commands(steps: int) -> dict[str, list[str]]:
