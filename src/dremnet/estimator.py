@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -34,7 +35,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .drem import DremMessage
-from .model import _finite
+from .model import _finite, _floats, _integer
 
 __all__ = [
     "NodeState",
@@ -51,6 +52,8 @@ __all__ = [
     "node_step",
 ]
 
+_by_sensor = operator.attrgetter("sensor")  # node_step's sort key
+
 
 @dataclass(frozen=True)
 class NodeState:
@@ -61,10 +64,10 @@ class NodeState:
     mu: float
 
     def __post_init__(self):
-        th = np.asarray(self.theta_hat, dtype=float)
-        object.__setattr__(self, "theta_hat", th)
-        mu, counter = self.mu, self.counter
-        # exact-type tests first: every state node_step builds has a float mu and an int counter
+        th, mu, counter = self.theta_hat, self.mu, self.counter
+        # exact-type tests first: every state node_step builds has a float64 array, a float mu and an int counter
+        if type(th) is not np.ndarray or th.dtype != np.float64:
+            object.__setattr__(self, "theta_hat", th := _floats(th, "theta_hat"))
         if type(mu) is not float and (isinstance(mu, bool) or not isinstance(mu, numbers.Real)):
             raise ValueError(f"mu must be a number, got {mu!r}")
         if not 0.0 < mu < math.inf:
@@ -120,9 +123,9 @@ StepSchedule = Union[HarmonicSchedule, TableSchedule]
 
 
 def step_size(s: StepSchedule, k: int) -> float:
-    """alpha(k); always in (0, 1]."""
-    if k < 0:
-        raise ValueError(f"step index must be nonnegative, got {k}")
+    """alpha(k) for a nonnegative integer k (not a bool); always in (0, 1]."""
+    if type(k) is not int or k < 0:
+        k = _integer(k, "step index", 0)
     return s.at(k)
 
 
@@ -238,7 +241,7 @@ def node_step(
     ``update_estimate`` does for all-zero deltas, without building gated messages. The
     sensor's next broadcast comes from the data pipeline once the k+1 measurement exists.
     """
-    inbox = sorted([own, *received], key=lambda m: m.sensor)
+    inbox = sorted([own, *received], key=_by_sensor)
     full = 0.0
     for m in inbox:
         full += m.delta_bar * m.delta_bar

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Optional, Union
 import numpy as np
 
 from . import estimator
-from .drem import drem_transform, extend
+from .drem import DremMessage, extend
 from .estimator import (
     HarmonicSchedule,
     NodeState,
@@ -42,6 +42,7 @@ from .model import (
     RecursiveCosine,
     RegressorGenerator,
     _finite,
+    _floats,
     _integer,
     _noise_models,
     noise_block,
@@ -82,12 +83,6 @@ CHUNK_RUNS = 256
 
 class ScenarioError(ValueError):
     """A scenario config failed to parse or validate."""
-
-
-def _floats(value, what: str) -> np.ndarray:
-    """``value`` as a float array of its own shape, every entry checked by ``model._finite``."""
-    entries = np.asarray(value, dtype=object)
-    return np.array(_finite(entries.ravel().tolist(), what), dtype=float).reshape(entries.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,9 +338,9 @@ def load_scenario(source: Union[str, Path]) -> Scenario:
 class StepTables:
     """Deterministic per-step tables shared by every run of a scenario.
 
-    Regressors, noise-free measurements, scalar regressors delta_bar and
-    adjugates, step sizes, padded closed-neighborhood indices, and the full
-    counter/gating skeleton (which never depends on noise).
+    Regressors, noise-free measurements, scalar regressors delta_bar and adjugates, step
+    sizes, padded closed-neighborhood indices and their sums of delta_bar squared, and the
+    full counter/gating skeleton (which never depends on noise).
     """
 
     horizon: int
@@ -355,6 +350,7 @@ class StepTables:
     adj: np.ndarray        # (n, K, d, d)
     alpha: np.ndarray      # (K,)
     members: np.ndarray    # (n, K, width) 0-based, -1 padded
+    full_sum: np.ndarray   # (n, K) ungated; may overflow where no update reads it
     gated_sum: np.ndarray  # (n, K)
     effective: np.ndarray  # (n, K) bool
     counters: np.ndarray   # (n, K+1) int
@@ -385,17 +381,14 @@ def _noise_free(s: Scenario, K: int) -> tuple[np.ndarray, np.ndarray]:
         return phi, np.vecdot(phi, s.theta) + 0.0
 
 
-def step_tables(s: Scenario, horizon: Optional[int] = None) -> StepTables:
-    """Precompute every noise-independent quantity for steps 0..horizon-1.
+def _drem_layer(phi: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """delta_bar (n, K), adj (n, K, d, d), ybar (n, K, d) and a finite mask (n, K) of every message.
 
-    Raises ValueError if a noise-free measurement theta' phi_i(k), a squared
-    delta_bar_i(k) or a noise-free ybar_i(k) is not finite, naming the first
-    (step, sensor) in step order, and then likewise if the neighborhood sum of
-    squared delta_bar that an update divides by is not finite.
+    From regressors phi (n, K, d) and measurements y (n, K), entry (i, k) is bit for bit
+    ``drem.drem_transform`` of sensor i+1's step-k windows: zero in warm-up, ybar summed from +0.0
+    in ascending r as ``drem._adj_apply`` sums. The mask is False where y, delta_bar**2 or ybar is not finite.
     """
-    K = _horizon(s, horizon)
-    n, d = s.n, s.d
-    phi, y_det = _noise_free(s, K)
+    n, K, d = phi.shape
     delta = np.zeros((n, K))
     adj = np.zeros((n, K, d, d))
     for i in range(n):
@@ -404,16 +397,28 @@ def step_tables(s: Scenario, horizon: Optional[int] = None) -> StepTables:
         if windows:
             delta[i, d - 1 :], adj[i, d - 1 :] = zip(*windows)
     ybar = np.zeros((n, K, d))
-    members = neighborhood_index(s.graph, K)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        # the noise-free messages, ybar(k) = sum over r of adj(k)[:, r] y(k - r);
-        # zero in the warm-up steps, where adj is zero
+    with np.errstate(over="ignore", invalid="ignore"):
         for r in range(min(d, K)):
-            ybar[:, r:] += adj[:, r:, :, r] * y_det[:, : K - r, None]
-        squares = delta * delta
-        finite = np.isfinite(y_det) & np.isfinite(squares) & np.isfinite(ybar).all(axis=2)
-        full = neighborhood_sum(members, squares)
+            ybar[:, r:] += adj[:, r:, :, r] * y[:, : K - r, None]
+        finite = np.isfinite(y) & np.isfinite(delta * delta) & np.isfinite(ybar).all(axis=2)
+    return delta, adj, ybar, finite
+
+
+def step_tables(s: Scenario, horizon: Optional[int] = None) -> StepTables:
+    """Precompute every noise-independent quantity for steps 0..horizon-1.
+
+    Raises ValueError if a noise-free measurement theta' phi_i(k), a squared
+    delta_bar_i(k) or a noise-free ybar_i(k) is not finite, naming the first
+    (step, sensor) in step order, and then likewise if the neighborhood sum of
+    squared delta_bar that an update divides by is not finite.
+    """
+    K, d = _horizon(s, horizon), s.d
+    phi, y_det = _noise_free(s, K)
+    delta, adj, _, finite = _drem_layer(phi, y_det)
     _refuse_nonfinite(finite)
+    members = neighborhood_index(s.graph, K)
+    with np.errstate(over="ignore"):  # finite squares whose sum overflows are refused below
+        full = neighborhood_sum(members, delta * delta)
     alpha = np.array([step_size(s.schedule, k) for k in range(K)])
     # read from the module at call time, so the tables and node_step share one rule
     updates = estimator.updates
@@ -426,7 +431,7 @@ def step_tables(s: Scenario, horizon: Optional[int] = None) -> StepTables:
     counters = np.array(counts, dtype=np.int64)
     eff = counters[:, 1:] == 0
     gated_sum = np.where(eff, full, 0.0)
-    # finite squares whose sum overflows; at a step without an update the sum is only compared with 0
+    # at a step without an update the sum is only compared with 0
     _refuse_nonfinite(np.isfinite(gated_sum), "the neighborhood sum of squared delta_bar")
     return StepTables(
         horizon=K,
@@ -436,6 +441,7 @@ def step_tables(s: Scenario, horizon: Optional[int] = None) -> StepTables:
         adj=adj,
         alpha=alpha,
         members=members,
+        full_sum=full,
         gated_sum=gated_sum,
         effective=eff,
         counters=counters,
@@ -475,66 +481,53 @@ def _channel_norm(diff: np.ndarray) -> np.ndarray:
 def run_single(s: Scenario, seed: int, horizon: Optional[int] = None) -> RunResult:
     """Simulate one seeded run step by step through the estimator state machine.
 
-    Every sensor produces its message for step k, the full round is
-    delivered along the step-k edges, and every sensor consumes its closed
-    neighborhood's messages in the same k. A measurement, squared delta_bar
-    or ybar that is not finite raises the ValueError of ``step_tables``, and
-    a non-finite estimate one of the same form naming its sensor and step.
+    A message reads only its sensor's own data, so every message comes first
+    from the DREM layer of ``step_tables``; at step k each sensor's closed
+    neighbourhood hears them along the step-k edges, and ``node_step``
+    consumes them. A message that is not finite raises the ValueError of
+    ``step_tables`` before its step's updates, and a non-finite estimate one
+    of the same form naming its sensor and step.
     """
     K = _horizon(s, horizon)
     n, d = s.n, s.d
     nm = NoiseModel(variances=s.variances, seed=seed)
-    states = [
-        NodeState(theta_hat=s.theta_hat0[i - 1].copy(), counter=0, mu=s.mu[i - 1])
-        for i in range(1, n + 1)
-    ]
-    # per sensor: the estimates and counters after each step, the effective flags
+    states = [NodeState(theta_hat=th.copy(), counter=0, mu=mu) for th, mu in zip(s.theta_hat0, s.mu)]
+    # per sensor: the estimates and counters after each step; a step updated iff it reset the counter
     thetas: list[list[np.ndarray]] = [[th] for th in s.theta_hat0]
     counts: list[list[int]] = [[0] for _ in range(n)]
-    eff: list[list[bool]] = [[] for _ in range(n)]
-    phi, y_det = _noise_free(s, K)  # an overflow is refused per message
-    y_dets = y_det.tolist()
-    # newest first, as in step_tables: revs[i][K-1-k : K-1-k+d] is phi(k), ..., phi(k-d+1)
-    revs = list(phi[:, ::-1])
-    y_hist: list[list[float]] = [[] for _ in range(n)]
+    phi, y_det = _noise_free(s, K)
+    v = np.array([[sample_noise(nm, i, k) for k in range(K)] for i in range(1, n + 1)])
+    with np.errstate(over="ignore"):  # an overflow is refused at its step
+        delta, _, ybar, finite = _drem_layer(phi, y_det + v)
+    stop = K if finite.all() else int(finite.all(axis=0).argmin())  # the first step with a message to refuse
+    deltas, rows = delta.tolist(), [list(r) for r in ybar]
     index = neighborhood_index(s.graph, K)
     # each in-edge adds one member to a closed neighbourhood and carries one message of d+1 reals
     payload_total = (d + 1) * (int((index >= 0).sum()) - n * K)
     members = index.tolist()
-    for k in range(K):
-        msgs = []
-        for i in range(1, n + 1):
-            v = sample_noise(nm, i, k)
-            y = y_dets[i - 1][k] + v
-            y_hist[i - 1] = [y, *y_hist[i - 1][: d - 1]]  # newest first, at most d
-            msg = drem_transform(i, revs[i - 1][K - 1 - k : K - 1 - k + d], y_hist[i - 1])
-            if not (
-                math.isfinite(y)
-                and math.isfinite(msg.delta_bar * msg.delta_bar)
-                and all(map(math.isfinite, msg.ybar.tolist()))
-            ):
-                raise _overflow(i, k)
-            msgs.append(msg)
+    for k in range(stop):
+        msgs = [DremMessage(ybar=rows[i][k], delta_bar=deltas[i][k], sensor=i + 1) for i in range(n)]
         for i in range(1, n + 1):
             # sensor i hears the other members of its closed neighbourhood (-1 pads)
             received = [msgs[j] for j in members[i - 1][k] if j >= 0 and j != i - 1]
             try:
-                state, effective = node_step(states[i - 1], k, msgs[i - 1], received, s.schedule, d)
+                state, _ = node_step(states[i - 1], k, msgs[i - 1], received, s.schedule, d)
             except ValueError as e:
                 # every input but the new estimate was checked, so that is what node_step refused
                 raise _overflow(i, k, "the estimate") from e
-            eff[i - 1].append(effective)
             states[i - 1] = state
             counts[i - 1].append(state.counter)
             thetas[i - 1].append(state.theta_hat)
+    _refuse_nonfinite(finite)
     traj = np.array(thetas, dtype=float).reshape(n, K + 1, d)
+    counters = np.array(counts, dtype=np.int64).reshape(n, K + 1)
     return RunResult(
         seed=seed,
         horizon=K,
         theta_hat=traj,
         error_norm=_channel_norm(traj - s.theta),
-        effective=np.array(eff, dtype=bool).reshape(n, K),
-        counters=np.array(counts, dtype=np.int64).reshape(n, K + 1),
+        effective=counters[:, 1:] == 0,
+        counters=counters,
         payload_total=payload_total,
     )
 
@@ -792,19 +785,17 @@ def check_scenario(
     _finite((omega,), "omega", positive=True)
     K = _horizon(s, horizon)
     tables = step_tables(s, K)
+    _refuse_nonfinite(np.isfinite(tables.full_sum), "the neighborhood sum of squared delta_bar")  # scans read every step
     problems: list[str] = []
     bounds = tuple(g.bound for g in s.generators)
-    realized = tuple(
-        float(np.max(np.abs(tables.phi[i - 1]))) if K > 0 else 0.0
-        for i in range(1, s.n + 1)
-    )
+    realized = tuple(float(np.abs(phi).max(initial=0.0)) for phi in tables.phi)
     bounded_ok = all(math.isfinite(b) for b in bounds)
     for i, b in enumerate(bounds, start=1):
         if not math.isfinite(b):
             problems.append(f"sensor {i}: regressor sequence is unbounded")
     # margins at the certified H, or without one at the longest window tried,
     # which is never longer than the horizon
-    pe_h, pe_margin = find_certificate(neighborhood_sum(tables.members, tables.delta**2), s.d, omega, h_max)
+    pe_h, pe_margin = find_certificate(tables.full_sum, s.d, omega, h_max)
     h_top = min(h_max, K)
     single_pe_h = single_sensor_pe(tables.delta, s.d, omega, h_max)[0]
     pe_ok = all(h is not None for h in pe_h.values())

@@ -63,6 +63,12 @@ def _finite(values, what: str, positive: bool = False) -> tuple[float, ...]:
     return out
 
 
+def _floats(value, what: str) -> np.ndarray:
+    """``value`` as a float array of its own shape, every entry checked by ``_finite``."""
+    entries = np.asarray(value, dtype=object)
+    return np.array(_finite(entries.ravel().tolist(), what), dtype=float).reshape(entries.shape)
+
+
 def _integer(value, name: str, least: Optional[int] = None) -> int:
     """``value`` as an int: a Python or numpy integer, not a bool, and at least ``least`` if given."""
     # the exact-type test first, so a plain int skips the ABC checks
@@ -341,11 +347,11 @@ def sample_noise(model: NoiseModel, sensor: int, k: int) -> float:
     per sensor until another replaces it. Blocks come from this thread's fully reset
     generator, so draws may come in any order, between :func:`noise_block` calls, from any thread.
     """
-    # plain comparisons, as this runs once per (sensor, step); the wording is _sensor's and _integer's
-    if not 1 <= sensor <= len(model.variances):
-        raise ValueError(f"sensor id {sensor} outside 1..{len(model.variances)}")
-    if k < 0:
-        raise ValueError(f"step index must be nonnegative, got {k}")
+    # exact-type fast paths, as this runs once per (sensor, step); anything else is checked in full
+    if type(sensor) is not int or not 1 <= sensor <= len(model.variances):
+        sensor = _sensor(sensor, len(model.variances))
+    if type(k) is not int or k < 0:
+        k = _integer(k, "step index", 0)
     counter = _BLOCK_COUNTERS * (k // (4 * _BLOCK_COUNTERS))
     block = model._blocks.get(sensor)
     if block is None or block[0] != counter:

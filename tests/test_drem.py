@@ -251,8 +251,8 @@ class TestDremTransform:
 
     @pytest.mark.parametrize("name", ["sec5", "table_d5"])
     def test_window_views_match_row_lists(self, request, name):
-        # run_single passes (<= d, d) window views of the reversed regressor
-        # table; warm-up and full windows give the bytes of a list of rows
+        # an array history is read in place: (<= d, d) window views of the
+        # reversed regressor table, warm-up and full, give a list of rows' bytes
         s = request.getfixturevalue(name)
         K, d = 80, s.d
         rng = np.random.default_rng(8)

@@ -73,6 +73,18 @@ class TestStepSchedules:
         with pytest.raises(ValueError):
             step_size(HarmonicSchedule(c=0.7), -1)
 
+    @pytest.mark.parametrize(
+        "schedule, k",
+        [(HarmonicSchedule(c=0.7), 1.5), (HarmonicSchedule(c=0.7), True), (TableSchedule(values=(1.0, 0.5)), 0.5)],
+    )
+    def test_step_must_be_an_integer(self, schedule, k):
+        # a float or bool step index reads no alpha, on either schedule kind
+        with pytest.raises(ValueError, match=f"^step index must be an integer, got {k!r}$"):
+            step_size(schedule, k)
+
+    def test_numpy_step_accepted(self):
+        assert step_size(HarmonicSchedule(c=0.7), np.int64(7)) == step_size(HarmonicSchedule(c=0.7), 7)
+
     def test_violations_clean_harmonic(self):
         assert schedule_violations(HarmonicSchedule(c=0.7), 200) == []
 
@@ -322,9 +334,24 @@ class TestState:
         with pytest.raises(ValueError, match="counter must be an integer"):
             NodeState(theta_hat=np.zeros(2), counter=counter, mu=0.1)
 
+    @pytest.mark.parametrize(
+        "theta_hat, message",
+        [
+            (["1.5", True], "theta_hat must be a number, got '1.5'"),
+            ([0.5, True], "theta_hat must be a number, got True"),
+        ],
+    )
+    def test_theta_hat_entries_must_be_numbers(self, theta_hat, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NodeState(theta_hat=theta_hat, counter=0, mu=0.1)
+
     def test_numpy_numbers_accepted(self):
         state = NodeState(theta_hat=np.zeros(2), counter=np.int64(3), mu=np.float32(0.5))
         assert state.counter == 3 and state.mu == 0.5
+        # other number types become a float64 array of the same values and shape
+        for theta_hat in ([[1, -0.0]], np.array([[1, 2]]), np.array([[0.5, -0.0]], dtype=np.float32)):
+            th = NodeState(theta_hat=theta_hat, counter=0, mu=0.1).theta_hat
+            assert th.dtype == np.float64 and th.tobytes() == np.array(theta_hat, dtype=float).tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -633,6 +633,28 @@ class TestEstimateOverflow:
         assert tables.effective[sensor - 1, step]
 
 
+def test_message_and_estimate_refusals_keep_their_order():
+    # the step-1 message of sensor 1 overflows under some seeds, and
+    # otherwise its step-2 estimate does: a message is refused before the
+    # updates of its step, and an estimate before the next step's messages
+    s = Scenario(
+        theta=np.zeros(2),
+        generators=(PeriodicList(vectors=((1e154, 0.0), (0.0, 1.0))), Constant(vector=(1.0, 1.0))),
+        variances=(1.5e308, 1.0),
+        graph=ring(2),
+        schedule=HarmonicSchedule(c=0.7),
+        mu=(0.1, 0.1),
+        theta_hat0=np.zeros((2, 2)),
+        horizon=6,
+    )
+    message = "sensor 1, step 1: the measurement or DREM message overflows float64; scale the regressors down"
+    estimate = "sensor 1, step 2: the estimate overflows float64; scale the regressors down"
+    for seed in range(1, 40):
+        with pytest.raises(ValueError) as error:
+            run_single(s, seed=seed)
+        assert str(error.value) == (message if seed in (4, 9, 36) else estimate), seed
+
+
 def sum_overflow_scenario() -> Scenario:
     # d = 1 and the one edge 1 -> 2: every squared regressor is finite, but
     # sensor 2's neighbourhood sum 1.69e308 + 1.44e308 is not, and sensor 2
@@ -666,6 +688,16 @@ class TestNeighborhoodSumOverflow:
     def test_run_single_names_the_same_sensor_and_step(self):
         with pytest.raises(ValueError, match=r"^sensor 2, step 1: the estimate overflows float64"):
             run_single(sum_overflow_scenario(), seed=1)
+
+    def test_check_scenario_names_a_sum_no_update_reads(self):
+        # only the step-0 sum overflows, before any counter lets an update read
+        # it: the tables build, but the excitation scan reads every step's sum
+        big = (CustomTable(vectors=((1.3e154,), (1.0,))), CustomTable(vectors=((1.2e154,), (1.0,))))
+        s = dataclasses.replace(sum_overflow_scenario(), generators=big, horizon=6)
+        assert not np.isfinite(step_tables(s).full_sum[1, 0])
+        with pytest.raises(ValueError) as error:
+            check_scenario(s)
+        assert str(error.value) == self.WANT.replace("step 1", "step 0")
 
 
 class TestRunSingle:

@@ -1,9 +1,12 @@
 import math
+import os
 import pickle
 import random
 import re
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -459,6 +462,31 @@ class TestNoise:
             assert singles == want[sensor][0]
             assert blocks == [want[sensor][1]] * 10
 
+    def test_draws_move_at_most_two_ulp_without_avx512(self):
+        # output bits depend on numpy's CPU dispatch: a child process with the
+        # AVX-512 paths off may round log, cos or sin differently, by <= 2 ulp
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+        if not __cpu_features__.get("X86_V4"):
+            pytest.skip("numpy finds no X86_V4 on this CPU")
+        off = " ".join(f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR") if f in __cpu_dispatch__)
+        code = (
+            "import sys\n"
+            "from numpy._core._multiarray_umath import __cpu_features__\n"
+            "from dremnet.model import NoiseModel, noise_block\n"
+            "assert not __cpu_features__['X86_V4']\n"
+            "sys.stdout.write(noise_block(NoiseModel(variances=(1.0,), seed=7), 1, 10**4).tobytes().hex())\n"
+        )
+        src = str(Path(model.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=off, PYTHONPATH=path)
+        child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        theirs = np.frombuffer(bytes.fromhex(child.stdout))
+        ours = noise_block(NoiseModel(variances=(1.0,), seed=7), 1, 10**4)
+        assert theirs.shape == ours.shape
+        assert np.all(np.abs(theirs - ours) <= 2 * np.spacing(np.abs(ours)))
+
     def test_streams_differ_across_sensors_and_seeds(self):
         a = noise_block(NoiseModel(variances=(1.0, 1.0), seed=1), 1, 32)
         b = noise_block(NoiseModel(variances=(1.0, 1.0), seed=1), 2, 32)
@@ -491,12 +519,18 @@ class TestNoise:
         with pytest.raises(ValueError):
             NoiseModel(variances=(-1.0,), seed=0)
         nm = NoiseModel(variances=(1.0,), seed=0)
-        # the per-step draw keeps plain comparisons, worded as noise_block's checks
+        # the per-step draw refuses what noise_block refuses, in the same words
         for draw in (sample_noise, noise_block):
             with pytest.raises(ValueError, match=r"^sensor id 2 outside 1\.\.1$"):
                 draw(nm, 2, 0)
+            with pytest.raises(ValueError, match="^sensor id must be an integer, got True$"):
+                draw(nm, True, 0)
         with pytest.raises(ValueError, match="^step index must be nonnegative, got -1$"):
             sample_noise(nm, 1, -1)
+        for k in (1.5, True):
+            with pytest.raises(ValueError, match=f"^step index must be an integer, got {k!r}$"):
+                sample_noise(nm, 1, k)
+        assert sample_noise(nm, np.int64(1), np.int64(3)) == sample_noise(nm, 1, 3)
         with pytest.raises(ValueError, match=r"^sensor id must be an integer, got 1\.5$"):
             noise_block(nm, 1.5, 3)
 

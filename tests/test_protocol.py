@@ -2,18 +2,19 @@
 
 ``update_estimate`` and the DREM mixing step accumulate on Python floats.
 The references below are the numpy forms they replaced; every result must
-match them byte for byte, signed zeros included. The event-indexed chunk
-engine is checked against the step-indexed loop it replaced, and the m = 1
-chunk engine against ``run_single``, on scenarios that reach the d = 1, the
-d = 2, the d = 3 cofactor and the d = 5 elimination paths.
+match them byte for byte, signed zeros included. The DREM layer that both
+engines read is checked message by message against ``drem_transform``, the
+event-indexed chunk engine against the step-indexed loop it replaced, and
+the m = 1 chunk engine against ``run_single``, on scenarios that reach the
+d = 1, the d = 2, the d = 3 cofactor and the d = 5 elimination paths.
 """
 
 import numpy as np
 import pytest
 
-from dremnet.drem import DremMessage, _adj_apply, extend
+from dremnet.drem import DremMessage, _adj_apply, drem_transform, extend
 from dremnet.estimator import HarmonicSchedule, NodeState, gate, update_estimate, updates
-from dremnet.harness import Scenario, _channel_norm, _chunk_sums, run_single, step_tables
+from dremnet.harness import Scenario, _channel_norm, _chunk_sums, _drem_layer, _noise_free, run_single, step_tables
 from dremnet.model import Constant, NoiseModel, PeriodicList, RecursiveCosine, noise_block
 from dremnet.topology import StaticGraph, neighborhood_values
 
@@ -162,6 +163,36 @@ def test_mixing_matches_array_form(d):
             adj = signed_zeros(rng, rng.normal(size=(d, d)) * 10.0 ** rng.integers(-3, 4))
         stack = signed_zeros(rng, rng.normal(size=d))
         assert _adj_apply(adj, stack.tolist()).tobytes() == ref_adj_apply(adj, stack).tobytes()
+
+
+@pytest.mark.parametrize("zeros", [False, True], ids=["noisy", "signed-zeros"])
+@pytest.mark.parametrize("name", ["sec5", "periodic_d3", "table_d5"])
+def test_drem_layer_equals_per_node_messages(name, zeros, request):
+    # every (sensor, step) of noisy measurements, warm-up steps included; the
+    # second case scatters +0.0 and -0.0 through the regressors and measurements
+    s, rng = request.getfixturevalue(name), np.random.default_rng(300)
+    n, d = s.n, s.d
+    for K in (0, 1, d, 60):
+        phi, y_det = _noise_free(s, K)
+        nm = NoiseModel(variances=s.variances, seed=17)
+        y = y_det + np.array([noise_block(nm, i, K) for i in range(1, n + 1)])
+        if zeros:
+            phi, y = signed_zeros(rng, phi), signed_zeros(rng, y)
+        delta, adj, ybar, finite = _drem_layer(phi, y)
+        assert finite.all()
+        for i in range(n):
+            for k in range(K):
+                newest_first = range(k, max(k - d, -1), -1)
+                window = [phi[i, t] for t in newest_first]
+                msg = drem_transform(i + 1, window, [y[i, t] for t in newest_first])
+                assert msg.sensor == i + 1
+                assert np.float64(msg.delta_bar).tobytes() == delta[i, k].tobytes(), (i, k)
+                assert msg.ybar.tobytes() == ybar[i, k].tobytes(), (i, k)
+                want = extend(window)[1] if k >= d - 1 else np.zeros((d, d))
+                assert want.tobytes() == adj[i, k].tobytes(), (i, k)
+    if zeros:
+        # the last horizon met a -0.0 in the determinants or adjugates
+        assert np.signbit(np.concatenate([delta[delta == 0.0], adj[adj == 0.0]])).any()
 
 
 @pytest.mark.parametrize("name", ["sec5", "periodic_d3", "table_d5"])

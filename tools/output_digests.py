@@ -17,7 +17,10 @@ chunks of runs, so two workers really split them. ``noise`` digests the
 bytes of 1000 ``noise_block`` draws of sec5's sensor 1 under seed 7, so a
 change to the noise stream shows under its own name. The exit status is 1
 when the one- and two-worker ``mc`` digests of a scenario differ, or when
-those draws differ from 1000 ``sample_noise`` calls.
+those draws differ from 1000 ``sample_noise`` calls. ``simd_found`` lists the
+SIMD extensions numpy dispatches to on this CPU, the "found" list of
+``np.show_runtime()``: the output bits depend on the (scenario, seed) and on
+that list, so two machines compare their digests only when the lists agree.
 """
 
 from __future__ import annotations
@@ -90,6 +93,13 @@ def noise_draws() -> tuple[bytes, bytes]:
     return block.tobytes(), singles.tobytes()
 
 
+def simd_found() -> list[str]:
+    """numpy's dispatched SIMD extensions that this CPU has, in ``np.show_runtime()``'s order."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return [feature for feature in __cpu_dispatch__ if __cpu_features__[feature]]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--steps", type=int, default=1000, help="horizon of every command")
@@ -99,7 +109,7 @@ def main() -> int:
     out = digests(args.steps)
     block, singles = noise_draws()
     out["noise"] = hashlib.sha256(block).hexdigest()
-    print(json.dumps({"steps": args.steps, **out}, sort_keys=True))
+    print(json.dumps({"steps": args.steps, **out, "simd_found": simd_found()}, sort_keys=True))
     status = 0
     for scenario, suffix in SCENARIOS.items():
         if out[f"mc{suffix}_workers1"] != out[f"mc{suffix}_workers2"]:
