@@ -76,8 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument(
         "--at",
-        default="10,100,500",
-        help="comma-separated checkpoint steps for the printed summary",
+        default=None,
+        help="comma-separated checkpoint steps for the printed summary "
+        "(default 10,100,500, clipped to the horizon)",
     )
     sp.set_defaults(func=_cmd_compare)
     return p
@@ -163,7 +164,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     s = load_scenario(args.scenario)
     horizon = _horizon(s, args.steps)
     checkpoints = []  # parsed before the simulation, so a typo costs no run
-    for tok in filter(None, map(str.strip, args.at.split(","))):
+    if args.at is None:  # the defaults, clipped to the horizon, each once
+        checkpoints = list(dict.fromkeys(min(k, horizon) for k in (10, 100, 500)))
+    for tok in filter(None, map(str.strip, (args.at or "").split(","))):
         try:
             k = int(tok)
         except ValueError:

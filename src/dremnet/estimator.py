@@ -8,11 +8,11 @@ regularizer mu_i. One synchronous round at step k:
    is nonzero (``updates``).
 2. gate: the received scalar regressors delta_bar_j pass through when the
    sensor updates; otherwise delta_j = 0 and the estimate holds, which
-   ``node_step`` returns without building gated messages.
+   ``node_step`` returns without computing the update.
 3. update: every channel l moves by the same normalized step,
 
-       theta_l += alpha(k) * sum_j delta_j (ybar_jl - delta_j theta_l)
-                  / (mu_i + sum_j delta_j^2),
+       theta_l += alpha(k) * sum_j delta_bar_j (ybar_jl - delta_bar_j theta_l)
+                  / (mu_i + sum_j delta_bar_j^2),
 
    the sums running over the closed in-neighborhood.
 4. reset: the counter returns to 0 when the sensor updated, else it ticks up.
@@ -42,12 +42,10 @@ __all__ = [
     "HarmonicSchedule",
     "TableSchedule",
     "StepSchedule",
-    "GatedMessage",
     "step_size",
     "schedule_violations",
     "asymptotic_violations",
     "updates",
-    "gate",
     "update_estimate",
     "node_step",
 ]
@@ -166,15 +164,6 @@ def asymptotic_violations(s: StepSchedule) -> list[str]:
     return []
 
 
-@dataclass(frozen=True, eq=False)
-class GatedMessage:
-    """A received (ybar, delta_bar) pair after the counter gate."""
-
-    ybar: np.ndarray
-    delta: float
-    sensor: int
-
-
 def updates(counter: int, full_sum: float, d: int) -> bool:
     """Whether a sensor makes an effective update, resetting its counter.
 
@@ -186,26 +175,12 @@ def updates(counter: int, full_sum: float, d: int) -> bool:
     return counter >= d and full_sum != 0.0
 
 
-def gate(inbox: Sequence[DremMessage], open: bool) -> tuple[GatedMessage, ...]:
-    """Apply the counter gate to the inbox of the closed in-neighborhood.
+def update_estimate(state: NodeState, inbox: Sequence[DremMessage], alpha: float) -> np.ndarray:
+    """One fused LMS step over the open-gate ``inbox``; returns the new estimate, state untouched.
 
-    delta_j = delta_bar_j when the gate is ``open`` (the sensor updates),
-    else 0. The ybar payloads pass through untouched (a closed gate zeroes
-    their delta prefactor in the update anyway), in inbox order; downstream
-    sums rely on the caller's sort by sensor id.
-    """
-    return tuple(
-        GatedMessage(ybar=m.ybar, delta=m.delta_bar if open else 0.0, sensor=m.sensor)
-        for m in inbox
-    )
-
-
-def update_estimate(state: NodeState, gated: Sequence[GatedMessage], alpha: float) -> np.ndarray:
-    """One fused LMS step; returns the new estimate, state untouched.
-
-    All channels share the step size and the denominator mu + sum delta^2;
-    with every delta zero the numerator vanishes and the estimate is
-    returned unchanged (same floats).
+    All channels share the step size and the denominator mu + sum delta_bar^2;
+    with every delta_bar zero the estimate is returned unchanged (same floats),
+    as a closed gate holds it.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
@@ -214,8 +189,8 @@ def update_estimate(state: NodeState, gated: Sequence[GatedMessage], alpha: floa
     s = 0.0
     # fixed accumulation order (node_step sorts by sensor id) so the batched
     # engine can replay the identical float sequence
-    for m in gated:
-        dl = m.delta
+    for m in inbox:
+        dl = m.delta_bar
         num = [nu + dl * (y - dl * t) for nu, y, t in zip(num, m.ybar.tolist(), th)]
         s += dl * dl
     if s == 0.0:
@@ -238,8 +213,8 @@ def node_step(
     assembles them from the graph); ``own`` is the sensor's simultaneous own
     message, completing the closed neighborhood. Returns the successor state
     and whether the update was effective; a closed gate returns a copy of the estimate, as
-    ``update_estimate`` does for all-zero deltas, without building gated messages. The
-    sensor's next broadcast comes from the data pipeline once the k+1 measurement exists.
+    ``update_estimate`` does for all-zero deltas. The sensor's next broadcast comes from the
+    data pipeline once the k+1 measurement exists.
     """
     inbox = sorted([own, *received], key=_by_sensor)
     full = 0.0
@@ -248,5 +223,5 @@ def node_step(
     alpha = step_size(schedule, k)  # on both branches, so a negative k is always refused
     if not updates(state.counter, full, d):
         return NodeState(theta_hat=state.theta_hat.copy(), counter=state.counter + 1, mu=state.mu), False
-    theta_next = update_estimate(state, gate(inbox, True), alpha)
+    theta_next = update_estimate(state, inbox, alpha)
     return NodeState(theta_hat=theta_next, counter=0, mu=state.mu), True

@@ -292,7 +292,7 @@ def _scenario_from_config(cfg: dict) -> Scenario:
         graph=graph,
         schedule=schedule,
         mu=tuple(est["mu"]),
-        theta_hat0=np.array(est.get("theta_hat0", [[0.0] * d] * n), dtype=float),
+        theta_hat0=est.get("theta_hat0", [[0.0] * d] * n),  # Scenario refuses ragged rows by name
         horizon=run["horizon"],
     )
 
@@ -382,11 +382,12 @@ def _noise_free(s: Scenario, K: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _drem_layer(phi: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """delta_bar (n, K), adj (n, K, d, d), ybar (n, K, d) and a finite mask (n, K) of every message.
+    """delta_bar (n, K), adj (n, K, d, d), ybar (..., n, K, d) and a finite mask (..., n, K) of every message.
 
-    From regressors phi (n, K, d) and measurements y (n, K), entry (i, k) is bit for bit
+    From regressors phi (n, K, d) and measurements y (..., n, K), entry (i, k) is bit for bit
     ``drem.drem_transform`` of sensor i+1's step-k windows: zero in warm-up, ybar summed from +0.0
-    in ascending r as ``drem._adj_apply`` sums. The mask is False where y, delta_bar**2 or ybar is not finite.
+    in ascending r as ``drem._adj_apply`` sums. Each window is transformed once, whatever the leading
+    axes of y. The mask is False where y, delta_bar**2 or ybar is not finite.
     """
     n, K, d = phi.shape
     delta = np.zeros((n, K))
@@ -396,12 +397,36 @@ def _drem_layer(phi: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray,
         windows = [extend(rev[j : j + d]) for j in range(K - d, -1, -1)]
         if windows:
             delta[i, d - 1 :], adj[i, d - 1 :] = zip(*windows)
-    ybar = np.zeros((n, K, d))
+    ybar = np.zeros(y.shape + (d,))
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(min(d, K)):
-            ybar[:, r:] += adj[:, r:, :, r] * y[:, : K - r, None]
-        finite = np.isfinite(y) & np.isfinite(delta * delta) & np.isfinite(ybar).all(axis=2)
+            ybar[..., r:, :] += adj[:, r:, :, r] * y[..., : K - r, None]
+        finite = np.isfinite(y) & np.isfinite(delta * delta) & np.isfinite(ybar).all(axis=-1)
     return delta, adj, ybar, finite
+
+
+def _gating(s: Scenario, K: int, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The closed neighbourhoods (n, K, width), their ungated sums of delta_bar**2 (n, K) and the counters (n, K+1).
+
+    Raises ValueError if a sum that an update divides by is not finite, naming
+    the first (step, sensor) in step order.
+    """
+    d = s.d  # a property: read once, outside the counter loop
+    members = neighborhood_index(s.graph, K)
+    with np.errstate(over="ignore"):  # finite squares whose sum overflows are refused below
+        full = neighborhood_sum(members, delta * delta)
+    # read from the module at call time, so the tables and node_step share one rule
+    updates = estimator.updates
+    counts = []
+    for row in full.tolist():
+        trail = [c := 0]
+        for f in row:
+            trail.append(c := 0 if updates(c, f, d) else c + 1)
+        counts.append(trail)
+    counters = np.array(counts, dtype=np.int64)
+    # at a step without an update the sum is only compared with 0
+    _refuse_nonfinite(np.isfinite(full) | (counters[:, 1:] != 0), "the neighborhood sum of squared delta_bar")
+    return members, full, counters
 
 
 def step_tables(s: Scenario, horizon: Optional[int] = None) -> StepTables:
@@ -412,37 +437,22 @@ def step_tables(s: Scenario, horizon: Optional[int] = None) -> StepTables:
     (step, sensor) in step order, and then likewise if the neighborhood sum of
     squared delta_bar that an update divides by is not finite.
     """
-    K, d = _horizon(s, horizon), s.d
+    K = _horizon(s, horizon)
     phi, y_det = _noise_free(s, K)
     delta, adj, _, finite = _drem_layer(phi, y_det)
     _refuse_nonfinite(finite)
-    members = neighborhood_index(s.graph, K)
-    with np.errstate(over="ignore"):  # finite squares whose sum overflows are refused below
-        full = neighborhood_sum(members, delta * delta)
-    alpha = np.array([step_size(s.schedule, k) for k in range(K)])
-    # read from the module at call time, so the tables and node_step share one rule
-    updates = estimator.updates
-    counts = []
-    for row in full.tolist():
-        trail = [c := 0]
-        for f in row:
-            trail.append(c := 0 if updates(c, f, d) else c + 1)
-        counts.append(trail)
-    counters = np.array(counts, dtype=np.int64)
+    members, full, counters = _gating(s, K, delta)
     eff = counters[:, 1:] == 0
-    gated_sum = np.where(eff, full, 0.0)
-    # at a step without an update the sum is only compared with 0
-    _refuse_nonfinite(np.isfinite(gated_sum), "the neighborhood sum of squared delta_bar")
     return StepTables(
         horizon=K,
         phi=phi,
         y_det=y_det,
         delta=delta,
         adj=adj,
-        alpha=alpha,
+        alpha=np.array([step_size(s.schedule, k) for k in range(K)]),
         members=members,
         full_sum=full,
-        gated_sum=gated_sum,
+        gated_sum=np.where(eff, full, 0.0),
         effective=eff,
         counters=counters,
     )
@@ -484,9 +494,10 @@ def run_single(s: Scenario, seed: int, horizon: Optional[int] = None) -> RunResu
     A message reads only its sensor's own data, so every message comes first
     from the DREM layer of ``step_tables``; at step k each sensor's closed
     neighbourhood hears them along the step-k edges, and ``node_step``
-    consumes them. A message that is not finite raises the ValueError of
-    ``step_tables`` before its step's updates, and a non-finite estimate one
-    of the same form naming its sensor and step.
+    consumes them. The scenario is refused for what ``step_tables`` refuses,
+    with the same ValueError, and the run for a non-finite estimate, naming
+    its sensor and step as ``run_monte_carlo`` does; a noisy message is never
+    refused on its own.
     """
     K = _horizon(s, horizon)
     n, d = s.n, s.d
@@ -497,15 +508,15 @@ def run_single(s: Scenario, seed: int, horizon: Optional[int] = None) -> RunResu
     counts: list[list[int]] = [[0] for _ in range(n)]
     phi, y_det = _noise_free(s, K)
     v = np.array([[sample_noise(nm, i, k) for k in range(K)] for i in range(1, n + 1)])
-    with np.errstate(over="ignore"):  # an overflow is refused at its step
-        delta, _, ybar, finite = _drem_layer(phi, y_det + v)
-    stop = K if finite.all() else int(finite.all(axis=0).argmin())  # the first step with a message to refuse
-    deltas, rows = delta.tolist(), [list(r) for r in ybar]
-    index = neighborhood_index(s.graph, K)
+    with np.errstate(over="ignore"):  # a noisy overflow shows only in the estimates it reaches
+        delta, _, ybar, finite = _drem_layer(phi, np.stack([y_det, y_det + v]))
+    _refuse_nonfinite(finite[0])
+    index = _gating(s, K, delta)[0]
+    deltas, rows = delta.tolist(), [list(r) for r in ybar[1]]
     # each in-edge adds one member to a closed neighbourhood and carries one message of d+1 reals
     payload_total = (d + 1) * (int((index >= 0).sum()) - n * K)
     members = index.tolist()
-    for k in range(stop):
+    for k in range(K):
         msgs = [DremMessage(ybar=rows[i][k], delta_bar=deltas[i][k], sensor=i + 1) for i in range(n)]
         for i in range(1, n + 1):
             # sensor i hears the other members of its closed neighbourhood (-1 pads)
@@ -513,12 +524,11 @@ def run_single(s: Scenario, seed: int, horizon: Optional[int] = None) -> RunResu
             try:
                 state, _ = node_step(states[i - 1], k, msgs[i - 1], received, s.schedule, d)
             except ValueError as e:
-                # every input but the new estimate was checked, so that is what node_step refused
+                # the scenario passed the checks of step_tables, so node_step refused the new estimate
                 raise _overflow(i, k, "the estimate") from e
             states[i - 1] = state
             counts[i - 1].append(state.counter)
             thetas[i - 1].append(state.theta_hat)
-    _refuse_nonfinite(finite)
     traj = np.array(thetas, dtype=float).reshape(n, K + 1, d)
     counters = np.array(counts, dtype=np.int64).reshape(n, K + 1)
     return RunResult(
@@ -568,28 +578,30 @@ def _chunk_sums(args: tuple[Scenario, StepTables, tuple[int, ...]]) -> tuple[np.
     n, d, m, K = s.n, s.d, len(seeds), tables.horizon
     # run-major, so each noise block is one contiguous write
     y = np.empty((n, m, K))
-    for r, nm in enumerate(_noise_models(s.variances, seeds)):
-        for j in range(1, n + 1):
-            np.add(tables.y_det[j - 1], noise_block(nm, j, K), out=y[j - 1, r])
+    with np.errstate(over="ignore"):  # a noisy overflow shows only in the estimates it reaches
+        for r, nm in enumerate(_noise_models(s.variances, seeds)):
+            for j in range(1, n + 1):
+                np.add(tables.y_det[j - 1], noise_block(nm, j, K), out=y[j - 1, r])
     # per sensor, the steps of its effective updates in order. After its
-    # last update a sensor points at the last step with zero deltas: those
-    # passes leave it as it was, and its sums never read them anyway
+    # last update a sensor points at the last step: those passes hold its
+    # estimate, and its sums never read them anyway
     eff = tables.effective
     counts = eff.sum(axis=1)
     passes = int(counts.max(initial=0))
     steps = np.full((n, passes), K - 1, dtype=np.intp)
     for i in range(n):
         steps[i, : counts[i]] = np.flatnonzero(eff[i])
-    held = (np.arange(passes) >= counts[:, None])[:, :, None]
+    held = (np.arange(passes) >= counts[:, None])[:, :, None, None]
     rows = np.arange(n)[:, None]
-    deltas = np.where(held, 0.0, neighborhood_values(tables.members, tables.delta)[rows, steps])
+    deltas = neighborhood_values(tables.members, tables.delta)[rows, steps]
     alpha = tables.alpha[steps][:, :, None, None]
     den = np.add(np.array(s.mu)[:, None], tables.gated_sum[rows, steps])[:, :, None, None]
     # pass e mixes each message it reads once: one per distinct (sender, step),
     # found by sorting (pass, sender, step) keys, and inv[e, i, p] picks sensor
-    # i's member p. Padding reads sensor n's message under a zero delta, as the
-    # step loop did
-    senders = tables.members[rows, steps] % n  # (n, passes, width)
+    # i's member p. Padding reads the sensor's own message, which its update
+    # reads anyway, under a zero delta
+    senders = tables.members[rows, steps]  # (n, passes, width)
+    senders = np.where(senders >= 0, senders, rows[:, :, None])
     keys = (np.arange(passes)[None, :, None] * n + senders) * K + steps[:, :, None]
     msgs, inv = np.unique(keys.transpose(1, 0, 2), return_inverse=True)
     bounds = np.searchsorted(msgs, np.arange(passes + 1) * (n * K))
@@ -602,11 +614,12 @@ def _chunk_sums(args: tuple[Scenario, StepTables, tuple[int, ...]]) -> tuple[np.
     ev_err = np.empty((passes + 1, n))  # the sums after t passes
     ev_tilde = np.empty((passes + 1, n, d))
     ev_m2 = np.empty((passes + 1, n, d))
-    for t in range(passes + 1):
-        if t > 0:
-            e, lo, hi = t - 1, bounds[t - 1], bounds[t]
-            js, ks = msg_sender[lo:hi], msg_step[lo:hi]
-            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate is refused below
+    finite = np.ones((passes + 1, n), dtype=bool)  # whether every run's estimate is finite after t passes
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate is refused after the loop
+        for t in range(passes + 1):
+            if t > 0:
+                e, lo, hi = t - 1, bounds[t - 1], bounds[t]
+                js, ks = msg_sender[lo:hi], msg_step[lo:hi]
                 ybar = np.zeros((hi - lo, d, m))
                 for r in range(d):
                     ybar += y[js, :, ks - r][:, None, :] * msg_adj[lo:hi, :, r, None]
@@ -614,19 +627,22 @@ def _chunk_sums(args: tuple[Scenario, StepTables, tuple[int, ...]]) -> tuple[np.
                 for p in range(inv.shape[2]):
                     dlt = deltas[:, e, p, None, None]
                     num += dlt * (ybar[inv[e, :, p]] - dlt * th)
-                th = th + (alpha[:, e] * num) / den[:, e]
-            finite = np.isfinite(th).all(axis=(1, 2))
-            if not finite.all():
-                # of the sensors that left float64 range, the one whose update run_single meets first
-                i = min(np.flatnonzero(~finite), key=lambda i: (steps[i, e], i))
-                raise _overflow(int(i) + 1, int(steps[i, e]), "the estimate")
-        # each sum starts from +0.0, so an all -0.0 sum reads +0.0
-        tilde = th - s.theta[:, None]
-        tot = tilde.sum(axis=2)
-        dev = tilde - (tot / m)[:, :, None]
-        ev_tilde[t] = 0.0 + tot
-        ev_m2[t] = 0.0 + (dev * dev).sum(axis=2)
-        ev_err[t] = 0.0 + _channel_norm(tilde.transpose(0, 2, 1)).sum(axis=1)
+                # a held sensor, past its last update, keeps its estimate
+                th = np.where(held[:, e], th, th + (alpha[:, e] * num) / den[:, e])
+                finite[t] = np.isfinite(th).all(axis=(1, 2))
+            # each sum starts from +0.0, so an all -0.0 sum reads +0.0
+            tilde = th - s.theta[:, None]
+            tot = tilde.sum(axis=2)
+            dev = tilde - (tot / m)[:, :, None]
+            ev_tilde[t] = 0.0 + tot
+            ev_m2[t] = 0.0 + (dev * dev).sum(axis=2)
+            ev_err[t] = 0.0 + _channel_norm(tilde.transpose(0, 2, 1)).sum(axis=1)
+    if not finite.all():
+        # an estimate stays non-finite once it is; name the first update that
+        # made one, in step order, as run_single meets it
+        first = finite.argmin(axis=0)  # each sensor's first pass count without a finite estimate, else 0
+        i = min(np.flatnonzero(first), key=lambda i: (steps[i, first[i] - 1], i))
+        raise _overflow(int(i) + 1, int(steps[i, first[i] - 1]), "the estimate")
     # each sensor's count of effective updates before step k picks its sums
     done = np.concatenate([np.zeros((n, 1), dtype=np.intp), np.cumsum(eff, axis=1)], axis=1)
     return ev_err[done, rows], ev_tilde[done, rows], ev_m2[done, rows]

@@ -173,6 +173,9 @@ class RecursiveCosine:
         out = np.tile(np.array(self.base, dtype=float), (len(ks), 1))
         # a(0), ..., a(max ks), each a(t-1) + cos(t * angle_step)
         top = int(ks.max(initial=0))
+        if not math.isfinite(top * self.angle_step):  # |t * angle_step| grows with t
+            t = next(t for t in range(1, top + 1) if not math.isfinite(t * self.angle_step))
+            raise ValueError(f"angle_step {self.angle_step!r} times step {t} overflows float64")
         steps = (math.cos(t * self.angle_step) for t in range(1, top + 1))
         values = list(itertools.accumulate(steps, initial=self.initial))
         out[:, self.slot] = [values[k] for k in ks.tolist()]

@@ -34,6 +34,37 @@ class TestRun:
         assert main(["run", "--steps", "2", "--out", "/nonexistent/x.csv"]) == 2
         assert "/nonexistent/x.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("theta_hat0", [[0.0, 1.0], [2.0]], "error: theta_hat0 must be a number, got [0.0, 1.0]"),
+            ("angle_step", 1e308, "error: angle_step 1e+308 times step 2 overflows float64"),
+        ],
+        ids=["ragged-theta_hat0", "angle_step-overflow"],
+    )
+    def test_input_errors_name_the_field(self, tmp_path, capsys, key, value, message):
+        cfg = {
+            "model": {
+                "theta": [1.0, 2.0],
+                "generators": [
+                    {"kind": "constant", "vector": [1.0, 1.0]},
+                    {"kind": "recursive-cosine", "base": [0.0, 1.0], "slot": 0, "initial": 1.0, "angle_step": 0.5},
+                ],
+                "noise": [1.0, 1.0],
+            },
+            "graph": {"kind": "ring", "n": 2},
+            "estimator": {"mu": [0.1, 0.1], "step": {"kind": "harmonic", "c": 0.7}},
+            "run": {"horizon": 10},
+        }
+        if key == "theta_hat0":
+            cfg["estimator"][key] = value
+        else:
+            cfg["model"]["generators"][1][key] = value
+        p = tmp_path / "scenario.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", "--scenario", str(p)]) == 1
+        assert capsys.readouterr().err.strip() == message
+
     def test_negative_steps(self, capsys):
         assert main(["run", "--steps", "-1"]) == 1
         assert "error: --steps: must be at least 0, got -1" in capsys.readouterr().err
@@ -277,6 +308,16 @@ class TestCompare:
         captured = capsys.readouterr()
         assert "--runs" in captured.err
         assert "standard errors" not in captured.out
+
+    @pytest.mark.parametrize(
+        "steps, want",
+        [(60, [10, 60]), (10, [10]), (5, [5]), (0, [0]), (500, [10, 100, 500]), (501, [10, 100, 500])],
+    )
+    def test_default_checkpoints_clip_to_the_horizon(self, capsys, steps, want):
+        # 10, 100 and 500, each clipped to the horizon, once each
+        assert main(["compare", "--runs", "2", "--steps", str(steps)]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert [int(line.split(":")[0][2:]) for line in lines] == want
 
     def test_bad_checkpoint(self, capsys):
         assert main(["compare", "--runs", "4", "--steps", "5", "--at", "99"]) == 1

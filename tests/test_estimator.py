@@ -6,12 +6,10 @@ import pytest
 
 from dremnet.drem import DremMessage
 from dremnet.estimator import (
-    GatedMessage,
     HarmonicSchedule,
     NodeState,
     TableSchedule,
     asymptotic_violations,
-    gate,
     node_step,
     schedule_violations,
     step_size,
@@ -150,23 +148,37 @@ class TestStepSchedules:
 
 
 class TestGate:
+    # node_step's gate: closed, the estimate holds as under all-zero deltas;
+    # open, the update reads every delta_bar of the inbox in sensor order
     def test_immature_counter_zeroes_deltas(self):
+        state = NodeState(theta_hat=np.array([0.25, -1.5]), counter=1, mu=0.1)
         inbox = [msg(1, -0.5, [0.0, 0.0]), msg(2, 1.0, [1.0, 2.0])]
-        gated = gate(inbox, open=updates(1, 1.25, d=2))
-        assert [m.delta for m in gated] == [0.0, 0.0]
-        # payloads untouched
-        assert np.array_equal(gated[1].ybar, [1.0, 2.0])
+        assert not updates(1, 1.25, d=2)
+        zeroed = [msg(m.sensor, 0.0, m.ybar) for m in inbox]
+        nxt, eff = node_step(state, 3, inbox[0], inbox[1:], HarmonicSchedule(c=0.7), d=2)
+        assert not eff and nxt.counter == 2
+        assert nxt.theta_hat.tobytes() == update_estimate(state, zeroed, 0.7 / 3).tobytes()
+        assert nxt.theta_hat.tobytes() == state.theta_hat.tobytes()
 
     def test_mature_counter_passes_through(self):
-        # the gate keeps the inbox order; node_step sorts by sensor first
+        # received in any order, the messages are summed in ascending sensor order
+        state = NodeState(theta_hat=np.array([0.3]), counter=2, mu=0.1)
         inbox = [msg(3, -1.0, [0.5]), msg(1, 1.0, [2.0]), msg(2, 0.0, [9.0])]
-        gated = gate(inbox, open=updates(2, 2.0, d=2))
-        assert [m.sensor for m in gated] == [3, 1, 2]
-        assert [m.delta for m in gated] == [-1.0, 1.0, 0.0]
+        assert updates(2, 2.0, d=2)
+        nxt, eff = node_step(state, 4, inbox[0], inbox[1:], TableSchedule(values=(0.5,)), d=2)
+        want = update_estimate(state, sorted(inbox, key=lambda m: m.sensor), 0.5)
+        assert eff and nxt.counter == 0
+        assert nxt.theta_hat.tobytes() == want.tobytes()
+        # 0.5 * (1 * (2 - 0.3) + 0 + (-1) * (0.5 + 0.3)) / (0.1 + 2)
+        assert nxt.theta_hat[0] == pytest.approx(0.3 + 0.5 * 0.9 / 2.1, rel=1e-12)
 
     def test_self_only_inbox(self):
-        gated = gate([msg(4, 2.0, [1.0])], open=True)
-        assert len(gated) == 1 and gated[0].delta == 2.0
+        state = NodeState(theta_hat=np.zeros(1), counter=2, mu=0.1)
+        own = msg(4, 2.0, [1.0])
+        nxt, eff = node_step(state, 2, own, [], TableSchedule(values=(0.5,)), d=2)
+        assert eff and nxt.theta_hat.tobytes() == update_estimate(state, [own], 0.5).tobytes()
+        # 0.5 * 2 * 1 / (0.1 + 4)
+        assert nxt.theta_hat[0] == pytest.approx(1.0 / 4.1, rel=1e-12)
 
 
 class TestUpdate:
@@ -174,17 +186,12 @@ class TestUpdate:
         # one member: delta=1, ybar=2.5, theta=0, alpha=0.5, mu=0.1
         # step = 0.5 * (1 * 2.5) / (0.1 + 1) = 1.25/1.1
         state = NodeState(theta_hat=np.zeros(1), counter=2, mu=0.1)
-        gated = (GatedMessage(ybar=np.array([2.5]), delta=1.0, sensor=1),)
-        out = update_estimate(state, gated, alpha=0.5)
+        out = update_estimate(state, (msg(1, 1.0, [2.5]),), alpha=0.5)
         assert out[0] == 1.1363636363636362
 
     def test_all_zero_deltas_leave_estimate(self):
         state = NodeState(theta_hat=np.array([1.0, -2.0]), counter=0, mu=0.1)
-        gated = (
-            GatedMessage(ybar=np.array([5.0, 5.0]), delta=0.0, sensor=1),
-            GatedMessage(ybar=np.array([3.0, 3.0]), delta=0.0, sensor=2),
-        )
-        out = update_estimate(state, gated, alpha=1.0)
+        out = update_estimate(state, (msg(1, 0.0, [5.0, 5.0]), msg(2, -0.0, [3.0, 3.0])), alpha=1.0)
         assert np.array_equal(out, state.theta_hat)
         assert out is not state.theta_hat  # fresh array
 
@@ -192,21 +199,15 @@ class TestUpdate:
         # ybar = delta * theta_hat leaves the estimate exactly unchanged
         theta = np.array([2.5, -1.0])
         state = NodeState(theta_hat=theta, counter=2, mu=0.1)
-        gated = (
-            GatedMessage(ybar=2.0 * theta, delta=2.0, sensor=1),
-            GatedMessage(ybar=-0.5 * theta, delta=-0.5, sensor=2),
-        )
-        out = update_estimate(state, gated, alpha=0.3)
+        out = update_estimate(state, (msg(1, 2.0, 2.0 * theta), msg(2, -0.5, -0.5 * theta)), alpha=0.3)
         assert np.array_equal(out, theta)
 
     def test_channels_independent(self):
         # permuting channels permutes the result; the update is channelwise
         state1 = NodeState(theta_hat=np.array([0.2, -0.4]), counter=2, mu=0.3)
         state2 = NodeState(theta_hat=state1.theta_hat[::-1].copy(), counter=2, mu=0.3)
-        g1 = (GatedMessage(ybar=np.array([1.0, 2.0]), delta=0.7, sensor=1),)
-        g2 = (GatedMessage(ybar=np.array([2.0, 1.0]), delta=0.7, sensor=1),)
-        out1 = update_estimate(state1, g1, alpha=0.25)
-        out2 = update_estimate(state2, g2, alpha=0.25)
+        out1 = update_estimate(state1, (msg(1, 0.7, [1.0, 2.0]),), alpha=0.25)
+        out2 = update_estimate(state2, (msg(1, 0.7, [2.0, 1.0]),), alpha=0.25)
         assert np.array_equal(out1, out2[::-1])
 
     def test_alpha_validated(self):
@@ -286,8 +287,8 @@ class TestNodeStep:
         m1 = msg(1, -0.7322673547034516, [-0.5442589828573099])
         m2 = msg(2, -0.31630015636915454, [0.4116305363741328])
         m3 = msg(3, 1.0425133694426776, [-0.12853466294403426])
-        want = update_estimate(state, gate([m1, m2, m3], open=True), 0.5).tobytes()
-        assert update_estimate(state, gate([m3, m2, m1], open=True), 0.5).tobytes() != want
+        want = update_estimate(state, [m1, m2, m3], 0.5).tobytes()
+        assert update_estimate(state, [m3, m2, m1], 0.5).tobytes() != want
         for received in ([m2, m1], [m1, m2]):
             nxt, eff = node_step(state, 0, m3, received, TableSchedule(values=(0.5,)), d=2)
             assert eff and nxt.theta_hat.tobytes() == want
@@ -298,12 +299,14 @@ class TestNodeStep:
         "counter, deltas", [(1, (1.0, -2.0)), (3, (0.0, -0.0)), (0, (math.nan, 1.0))], ids=["immature", "zero", "nan"]
     )
     def test_closed_gate_holds_the_estimate(self, counter, deltas, bad):
-        # with the gate closed node_step returns the bytes that the update with
-        # every delta zeroed returns, in a fresh array, whatever the ybar values
+        # with the gate closed node_step returns the bytes that the update of
+        # the same messages with zero delta_bar returns, in a fresh array,
+        # whatever the ybar values
         state = NodeState(theta_hat=np.array([0.3, -0.0, 5e-324]), counter=counter, mu=0.1)
         own, other = msg(2, deltas[0], [bad, 1.0, -bad]), msg(1, deltas[1], [0.5, bad, 2.0])
         schedule = HarmonicSchedule(c=0.7)
-        want = update_estimate(state, gate([other, own], open=False), step_size(schedule, 7))
+        zeroed = [msg(m.sensor, 0.0, m.ybar) for m in (other, own)]
+        want = update_estimate(state, zeroed, step_size(schedule, 7))
         nxt, eff = node_step(state, 7, own, [other], schedule, d=2)
         assert not eff and nxt.counter == counter + 1 and nxt.mu == state.mu
         assert nxt.theta_hat.tobytes() == want.tobytes() == state.theta_hat.tobytes()

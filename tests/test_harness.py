@@ -25,7 +25,7 @@ from dremnet.harness import (
     run_single,
     step_tables,
 )
-from dremnet.model import Constant, CustomTable, PeriodicList, RecursiveCosine
+from dremnet.model import Constant, CustomTable, NoiseModel, PeriodicList, RecursiveCosine, sample_noise
 from dremnet.topology import (
     PeriodicGraph,
     StaticGraph,
@@ -240,6 +240,12 @@ class TestLoading:
         p.write_text(json.dumps(cfg).replace('"-HUGE"', "-1e999").replace('"HUGE"', "1e999"))
         with pytest.raises(ScenarioError, match=r"^model\.generators\[2\]: .* must be finite, got -?inf$"):
             load_scenario(p)
+
+    def test_ragged_theta_hat0_names_the_field(self, tmp_path):
+        cfg = two_sensor_config()
+        cfg["estimator"]["theta_hat0"] = [[0.0, 1.0], [2.0]]
+        with pytest.raises(ScenarioError, match=r"^theta_hat0 must be a number, got \[0\.0, 1\.0\]$"):
+            load_config(tmp_path, cfg)
 
     def test_subnormal_harmonic_coefficient_refused(self, tmp_path):
         cfg = two_sensor_config()
@@ -633,28 +639,6 @@ class TestEstimateOverflow:
         assert tables.effective[sensor - 1, step]
 
 
-def test_message_and_estimate_refusals_keep_their_order():
-    # the step-1 message of sensor 1 overflows under some seeds, and
-    # otherwise its step-2 estimate does: a message is refused before the
-    # updates of its step, and an estimate before the next step's messages
-    s = Scenario(
-        theta=np.zeros(2),
-        generators=(PeriodicList(vectors=((1e154, 0.0), (0.0, 1.0))), Constant(vector=(1.0, 1.0))),
-        variances=(1.5e308, 1.0),
-        graph=ring(2),
-        schedule=HarmonicSchedule(c=0.7),
-        mu=(0.1, 0.1),
-        theta_hat0=np.zeros((2, 2)),
-        horizon=6,
-    )
-    message = "sensor 1, step 1: the measurement or DREM message overflows float64; scale the regressors down"
-    estimate = "sensor 1, step 2: the estimate overflows float64; scale the regressors down"
-    for seed in range(1, 40):
-        with pytest.raises(ValueError) as error:
-            run_single(s, seed=seed)
-        assert str(error.value) == (message if seed in (4, 9, 36) else estimate), seed
-
-
 def sum_overflow_scenario() -> Scenario:
     # d = 1 and the one edge 1 -> 2: every squared regressor is finite, but
     # sensor 2's neighbourhood sum 1.69e308 + 1.44e308 is not, and sensor 2
@@ -676,18 +660,21 @@ class TestNeighborhoodSumOverflow:
 
     @pytest.mark.parametrize(
         "entry",
-        [step_tables, check_scenario, moments, theorem_check, lambda s: run_monte_carlo(s, runs=2, base_seed=0)],
-        ids=["step_tables", "check_scenario", "moments", "theorem_check", "run_monte_carlo"],
+        [
+            step_tables,
+            check_scenario,
+            moments,
+            theorem_check,
+            lambda s: run_monte_carlo(s, runs=2, base_seed=0),
+            lambda s: run_single(s, seed=1),
+        ],
+        ids=["step_tables", "check_scenario", "moments", "theorem_check", "run_monte_carlo", "run_single"],
     )
     def test_table_readers_refuse_alike(self, entry):
         # one error naming the place, and no RuntimeWarning from the sum
         with pytest.raises(ValueError) as error:
             entry(sum_overflow_scenario())
         assert str(error.value) == self.WANT
-
-    def test_run_single_names_the_same_sensor_and_step(self):
-        with pytest.raises(ValueError, match=r"^sensor 2, step 1: the estimate overflows float64"):
-            run_single(sum_overflow_scenario(), seed=1)
 
     def test_check_scenario_names_a_sum_no_update_reads(self):
         # only the step-0 sum overflows, before any counter lets an update read
@@ -698,6 +685,128 @@ class TestNeighborhoodSumOverflow:
         with pytest.raises(ValueError) as error:
             check_scenario(s)
         assert str(error.value) == self.WANT.replace("step 1", "step 0")
+
+
+def message_overflow_scenario() -> Scenario:
+    # the noise-free tables build, but sensor 1's noisy step-1 message
+    # overflows under some seeds; no update reads it (sensor 1's counter is
+    # 1 < d there), and the step-2 updates overflow under every seed
+    return Scenario(
+        theta=np.zeros(2),
+        generators=(PeriodicList(vectors=((1e154, 0.0), (0.0, 1.0))), Constant(vector=(1.0, 1.0))),
+        variances=(1.5e308, 1.0),
+        graph=ring(2),
+        schedule=HarmonicSchedule(c=0.7),
+        mu=(0.1, 0.1),
+        theta_hat0=np.zeros((2, 2)),
+        horizon=6,
+    )
+
+
+def unread_overflow_scenario() -> Scenario:
+    # sensor 3's noisy messages overflow, but its windows are singular, it
+    # hears nobody and nobody hears it, so no update reads them; sensors 1
+    # and 2 (edge 1 -> 2) update on finite messages
+    flip = PeriodicList(vectors=((1.0, 0.0), (0.0, 1.0)))
+    return Scenario(
+        theta=np.zeros(2),
+        generators=(flip, flip, Constant(vector=(1e160, 0.0))),
+        variances=(1.0, 1.0, 1e300),
+        graph=StaticGraph(3, ((1, 2),)),
+        schedule=HarmonicSchedule(c=0.7),
+        mu=(0.1, 0.1, 0.1),
+        theta_hat0=np.zeros((3, 2)),
+        horizon=12,
+    )
+
+
+def estimate_order_scenario() -> Scenario:
+    # noise-free and d = 1 with no edges: sensor 2 updates at steps 1, 3 and
+    # 5, and its third update (step 5) overflows; sensor 1 first updates at
+    # step 6, and that first update overflows. In step order sensor 2 is first
+    return Scenario(
+        theta=np.array([100.0]),
+        generators=(
+            CustomTable(vectors=((0.0,),) * 6 + ((1e154,),)),
+            CustomTable(vectors=((1.0,),) * 5 + ((1e154,), (1.0,))),
+        ),
+        variances=(0.0, 0.0),
+        graph=StaticGraph(2, ()),
+        schedule=HarmonicSchedule(c=0.7),
+        mu=(0.1, 0.1),
+        theta_hat0=np.zeros((2, 1)),
+        horizon=8,
+    )
+
+
+def refusal(call) -> "str | None":
+    """The text of the ValueError that ``call()`` raises, or None when it returns."""
+    try:
+        call()
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+class TestEngineAgreement:
+    """run_single and the Monte Carlo kernel at m = 1 accept and refuse the same inputs.
+
+    The scenario is refused for what step_tables refuses, and a run for a
+    non-finite estimate, named at its first (step, sensor); a noisy message
+    is never refused on its own.
+    """
+
+    @pytest.mark.parametrize(
+        "make, seeds, want",
+        [
+            (message_overflow_scenario, range(1, 40), "sensor 1, step 2: the estimate"),
+            (sum_overflow_scenario, (1, 2), "sensor 2, step 1: the neighborhood sum"),
+            (
+                lambda: dataclasses.replace(sum_overflow_scenario(), theta=np.zeros(1)),
+                (1, 2),
+                "sensor 2, step 1: the neighborhood sum",
+            ),
+            (unread_overflow_scenario, (1, 2, 3), None),
+            (estimate_order_scenario, (1,), "sensor 2, step 5: the estimate"),
+        ],
+        ids=["message-overflow", "sum-overflow", "sum-overflow-theta0", "unread-overflow", "estimate-order"],
+    )
+    def test_engines_decide_alike(self, make, seeds, want):
+        s = make()
+        up_front = refusal(lambda: step_tables(s))
+        for seed in seeds:
+            run, mc = [], []
+            run_error = refusal(lambda: run.append(run_single(s, seed)))
+            mc_error = refusal(lambda: mc.append(run_monte_carlo(s, runs=1, base_seed=seed - 1)))
+            assert run_error == mc_error, seed
+            if want is None:
+                assert run_error is None
+                tilde = run[0].theta_hat - s.theta
+                assert mc[0].mean_tilde.tobytes() == tilde.tobytes(), seed
+                assert mc[0].mean_error_norm.tobytes() == run[0].error_norm.tobytes(), seed
+            else:
+                assert run_error.startswith(want), (seed, run_error)
+                # an up-front refusal is the one step_tables makes
+                assert up_front is None or up_front == run_error
+
+    @pytest.mark.parametrize(
+        "make, seed, steps",
+        [
+            # sensor 1's step-1 message, which no update reads, and its step-2 message
+            (message_overflow_scenario, 4, [[1, 2], []]),
+            # every message of sensor 3 after its warm-up
+            (unread_overflow_scenario, 1, [[], [], list(range(1, 12))]),
+        ],
+        ids=["message-overflow", "unread-overflow"],
+    )
+    def test_noisy_messages_overflow_where_described(self, make, seed, steps):
+        s = make()
+        phi, y_det = harness._noise_free(s, s.horizon)
+        nm = NoiseModel(variances=s.variances, seed=seed)
+        y = y_det + np.array([[sample_noise(nm, i, k) for k in range(s.horizon)] for i in range(1, s.n + 1)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = harness._drem_layer(phi, y)[3]
+        assert [np.flatnonzero(~row).tolist() for row in finite] == steps
 
 
 class TestRunSingle:

@@ -105,6 +105,13 @@ class TestRecursiveCosine:
         with pytest.raises(ValueError):
             RecursiveCosine(base=(1.0, 2.0), slot=2, initial=0.0, angle_step=1.0)
 
+    def test_overflowing_angle_names_angle_step_and_step(self):
+        # 1e308 is finite, but 2 * 1e308 is not, and math.cos has no value for it
+        gen = RecursiveCosine(base=(0.0,), slot=0, initial=0.0, angle_step=1e308)
+        assert regressor_table(gen, 2)[1, 0] == math.cos(1e308)
+        with pytest.raises(ValueError, match=r"^angle_step 1e\+308 times step 2 overflows float64$"):
+            regressor_table(gen, 3)
+
 
 class TestConstantAndTable:
     def test_constant(self):

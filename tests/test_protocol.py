@@ -13,19 +13,19 @@ import numpy as np
 import pytest
 
 from dremnet.drem import DremMessage, _adj_apply, drem_transform, extend
-from dremnet.estimator import HarmonicSchedule, NodeState, gate, update_estimate, updates
+from dremnet.estimator import HarmonicSchedule, NodeState, update_estimate, updates
 from dremnet.harness import Scenario, _channel_norm, _chunk_sums, _drem_layer, _noise_free, run_single, step_tables
 from dremnet.model import Constant, NoiseModel, PeriodicList, RecursiveCosine, noise_block
 from dremnet.topology import StaticGraph, neighborhood_values
 
 
-def ref_update_estimate(state, gated, alpha):
+def ref_update_estimate(state, inbox, alpha):
     th = state.theta_hat
     num = np.zeros_like(th)
     s = 0.0
-    for m in gated:
-        num += m.delta * (m.ybar - m.delta * th)
-        s += m.delta * m.delta
+    for m in inbox:
+        num += m.delta_bar * (m.ybar - m.delta_bar * th)
+        s += m.delta_bar * m.delta_bar
     if s == 0.0:
         return th.copy()
     return th + (alpha * num) / (state.mu + s)
@@ -144,12 +144,13 @@ def test_update_estimate_matches_array_form(d):
                 for j in range(width)
             ]
             open_ = updates(state.counter, float(delta @ delta), d)
-            gated = gate(inbox, open_)
+            if not open_:  # a closed gate zeroes every delta
+                inbox = [DremMessage(ybar=m.ybar, delta_bar=0.0, sensor=m.sensor) for m in inbox]
             alpha = float(rng.uniform(0.01, 1.0))
-            got = update_estimate(state, gated, alpha)
-            assert got.tobytes() == ref_update_estimate(state, gated, alpha).tobytes()
+            got = update_estimate(state, inbox, alpha)
+            assert got.tobytes() == ref_update_estimate(state, inbox, alpha).tobytes()
             closed += not open_
-            updated += any(m.delta != 0.0 for m in gated)
+            updated += any(m.delta_bar != 0.0 for m in inbox)
     assert closed and updated  # both branches ran
 
 
