@@ -30,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from .drem import _mix
 from .harness import Scenario, _horizon, check_scenario, step_rows, step_tables, write_csv
 from .model import _finite
 from .topology import neighborhood_values
@@ -95,9 +96,7 @@ def step_coefficients(s: Scenario, horizon: Optional[int] = None) -> StepCoeffic
     gain = np.float_power(t.alpha / (mu + srow), 2.0)
     dlt = neighborhood_values(t.members, t.delta)
     nv = neighborhood_values(t.members, noise_var)
-    eps = np.zeros((n, K, d))
-    for p in range(t.members.shape[2]):
-        eps += (gain * dlt[:, :, p] * dlt[:, :, p])[:, :, None] * nv[:, :, p]
+    eps = _mix(np.moveaxis(gain[:, :, None] * dlt * dlt, 2, 0)[..., None], np.moveaxis(nv, 2, 0))
     eps = np.where(on[:, :, None], eps, 0.0)
     return StepCoefficients(
         alpha=t.alpha, beta=bet, epsilon=eps, gated_sum=t.gated_sum, noise_var=noise_var

@@ -49,12 +49,9 @@ def _cofactor_det(a: list, rows: list, cols: list) -> float:
     if len(rows) == 2:
         (r0, r1), (c0, c1) = rows, cols
         return _det2(a[r0][c0], a[r0][c1], a[r1][c0], a[r1][c1])
-    total = 0.0
     top, rest = a[rows[0]], rows[1:]
-    for c, col in enumerate(cols):
-        term = top[col] * _cofactor_det(a, rest, cols[:c] + cols[c + 1 :])
-        total += term if c % 2 == 0 else -term
-    return total
+    signed = [top[col] if c % 2 == 0 else -top[col] for c, col in enumerate(cols)]
+    return _mix(signed, [_cofactor_det(a, rest, cols[:c] + cols[c + 1 :]) for c in range(len(cols))])
 
 
 def _bareiss_det(a: list) -> float:
@@ -142,16 +139,16 @@ class DremMessage:
     sensor: int
 
 
-def _adj_apply(adj: np.ndarray, stack: Sequence[float]) -> np.ndarray:
-    # columnwise accumulation from +0.0, r ascending; batched runs replay this
-    # exact op order so the two engines agree bit for bit
-    out = []
-    for row in adj.tolist():
-        acc = 0.0
-        for a, y in zip(row, stack):
-            acc += a * y
-        out.append(acc)
-    return np.array(out)
+def _mix(weights, values):
+    """sum_r w_r * v_r added in order from +0.0, the one definition of this float order.
+
+    Both engines and the moment oracle add such sums here, on Python floats or broadcasting float64
+    arrays, with the same bits on both: neither CPython nor numpy fuses a multiply-add.
+    """
+    acc = 0.0
+    for w, v in zip(weights, values):
+        acc = acc + w * v
+    return acc
 
 
 def mix(det: float, adj: np.ndarray, y_stack: Sequence[float], sensor: int = 0) -> DremMessage:
@@ -164,7 +161,7 @@ def mix(det: float, adj: np.ndarray, y_stack: Sequence[float], sensor: int = 0) 
     d = adj.shape[0]
     if y.shape != (d,):
         raise ValueError(f"measurement stack must have shape ({d},), got {y.shape}")
-    return DremMessage(ybar=_adj_apply(adj, y.tolist()), delta_bar=det, sensor=sensor)
+    return DremMessage(ybar=_mix(adj.T, y), delta_bar=det, sensor=sensor)
 
 
 def drem_transform(

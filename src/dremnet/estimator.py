@@ -34,7 +34,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .drem import DremMessage
+from .drem import DremMessage, _mix
 from .model import _finite, _floats, _integer
 
 __all__ = [
@@ -175,6 +175,18 @@ def updates(counter: int, full_sum: float, d: int) -> bool:
     return counter >= d and full_sum != 0.0
 
 
+def _fused_step(theta, deltas, ybars, alpha, den):
+    """theta + (alpha * sum_j delta_j (ybar_j - delta_j theta)) / den, the one definition of this float order.
+
+    The sum adds the closed in-neighbourhood in the order given, from +0.0 as ``drem._mix`` adds, on
+    Python floats (``update_estimate``, per channel) or float64 arrays (the Monte Carlo kernel) alike.
+    """
+    acc = 0.0
+    for dl, y in zip(deltas, ybars):
+        acc = acc + dl * (y - dl * theta)
+    return theta + (alpha * acc) / den
+
+
 def update_estimate(state: NodeState, inbox: Sequence[DremMessage], alpha: float) -> np.ndarray:
     """One fused LMS step over the open-gate ``inbox``; returns the new estimate, state untouched.
 
@@ -184,19 +196,13 @@ def update_estimate(state: NodeState, inbox: Sequence[DremMessage], alpha: float
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    th = state.theta_hat.tolist()
-    num = [0.0] * len(th)
-    s = 0.0
-    # fixed accumulation order (node_step sorts by sensor id) so the batched
-    # engine can replay the identical float sequence
-    for m in inbox:
-        dl = m.delta_bar
-        num = [nu + dl * (y - dl * t) for nu, y, t in zip(num, m.ybar.tolist(), th)]
-        s += dl * dl
+    deltas = [m.delta_bar for m in inbox]
+    s = _mix(deltas, deltas)
     if s == 0.0:
         return state.theta_hat.copy()
     den = state.mu + s
-    return np.array([t + (alpha * nu) / den for t, nu in zip(th, num)])
+    channels = zip(*(m.ybar.tolist() for m in inbox))
+    return np.array([_fused_step(t, deltas, ys, alpha, den) for t, ys in zip(state.theta_hat.tolist(), channels)])
 
 
 def node_step(
@@ -217,9 +223,8 @@ def node_step(
     data pipeline once the k+1 measurement exists.
     """
     inbox = sorted([own, *received], key=_by_sensor)
-    full = 0.0
-    for m in inbox:
-        full += m.delta_bar * m.delta_bar
+    deltas = [m.delta_bar for m in inbox]
+    full = _mix(deltas, deltas)
     alpha = step_size(schedule, k)  # on both branches, so a negative k is always refused
     if not updates(state.counter, full, d):
         return NodeState(theta_hat=state.theta_hat.copy(), counter=state.counter + 1, mu=state.mu), False

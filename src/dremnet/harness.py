@@ -2,9 +2,10 @@
 
 A scenario bundles the regression model, the communication graph, the
 estimator parameters, and a default horizon. Runs are pure functions of
-(scenario, seed): noise is counter-based, so the per-step single-run engine
-and the vectorized many-run engine produce bit-identical trajectories, and
-Monte Carlo aggregates are byte-stable under any worker count.
+(scenario, seed): noise is counter-based, and the per-step single-run engine
+and the vectorized many-run engine add through the same two functions,
+``drem._mix`` and ``estimator._fused_step``, so their trajectories agree bit
+for bit; Monte Carlo aggregates are byte-stable under any worker count.
 
 Determinism contract: Monte Carlo runs are seeded base_seed+1..base_seed+M,
 processed in fixed-size chunks, and reduced strictly in chunk order. Workers
@@ -22,7 +23,7 @@ from typing import Iterable, Iterator, Optional, Union
 import numpy as np
 
 from . import estimator
-from .drem import DremMessage, extend
+from .drem import DremMessage, _mix, extend
 from .estimator import (
     HarmonicSchedule,
     NodeState,
@@ -384,10 +385,10 @@ def _noise_free(s: Scenario, K: int) -> tuple[np.ndarray, np.ndarray]:
 def _drem_layer(phi: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """delta_bar (n, K), adj (n, K, d, d), ybar (..., n, K, d) and a finite mask (..., n, K) of every message.
 
-    From regressors phi (n, K, d) and measurements y (..., n, K), entry (i, k) is bit for bit
-    ``drem.drem_transform`` of sensor i+1's step-k windows: zero in warm-up, ybar summed from +0.0
-    in ascending r as ``drem._adj_apply`` sums. Each window is transformed once, whatever the leading
-    axes of y. The mask is False where y, delta_bar**2 or ybar is not finite.
+    From regressors phi (n, K, d) and measurements y (..., n, K), entry (i, k) is sensor i+1's
+    step-k message: zero in warm-up, as ``drem.drem_transform`` emits it, and after it ybar mixed by
+    ``drem._mix``, as ``drem.mix`` mixes. Each window is transformed once, whatever the leading axes
+    of y. The mask is False where y, delta_bar**2 or ybar is not finite.
     """
     n, K, d = phi.shape
     delta = np.zeros((n, K))
@@ -399,8 +400,9 @@ def _drem_layer(phi: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray,
             delta[i, d - 1 :], adj[i, d - 1 :] = zip(*windows)
     ybar = np.zeros(y.shape + (d,))
     with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(min(d, K)):
-            ybar[..., r:, :] += adj[:, r:, :, r] * y[..., : K - r, None]
+        if K >= d:  # column r of adj(k) meets y(k - r)
+            lagged = [y[..., d - 1 - r : K - r, None] for r in range(d)]
+            ybar[..., d - 1 :, :] = _mix(np.moveaxis(adj[:, d - 1 :], 3, 0), lagged)
         finite = np.isfinite(y) & np.isfinite(delta * delta) & np.isfinite(ybar).all(axis=-1)
     return delta, adj, ybar, finite
 
@@ -478,14 +480,9 @@ class RunResult:
 
 
 def _channel_norm(diff: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis, adding the channels in ascending order.
-
-    Both engines take their error norms from here, so they agree bit for bit.
-    """
-    total = np.zeros(diff.shape[:-1])
-    for l in range(diff.shape[-1]):
-        total += diff[..., l] * diff[..., l]
-    return np.sqrt(total)
+    """Euclidean norm over the last axis, squares added by ``drem._mix``; both engines' error norms come from here."""
+    channels = np.moveaxis(diff, -1, 0)
+    return np.sqrt(_mix(channels, channels))
 
 
 def run_single(s: Scenario, seed: int, horizon: Optional[int] = None) -> RunResult:
@@ -562,17 +559,15 @@ class MonteCarloAggregate:
 def _chunk_sums(args: tuple[Scenario, StepTables, tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized engine: simulate one chunk of runs, return its moment sums.
 
-    Replays, elementwise across runs and sensors, the exact float operations
-    of run_single: neighbours in ascending order and the same update
-    expression. Sensors interact only through their noise-free gating and
-    the messages they broadcast, never through their estimates, so pass e
-    applies the e-th effective update of every sensor at once, each at its
-    own step; a sensor with fewer updates is held. A pass mixes each message
-    it reads once, however many sensors hear it. The estimates after each
-    pass are reduced over the runs, and a sensor's sums at step k are those
-    after its last update before k. Returns (sum_err, sum_tilde, m2): the
-    chunk's sums of the error norm and of theta_hat - theta, and the sum of
-    squared deviations of theta_hat - theta from the chunk mean.
+    Messages mix by ``drem._mix`` and updates run ``estimator._fused_step`` on (n, d, m)
+    arrays, neighbours in ascending order. Sensors interact only through their noise-free
+    gating and the messages they broadcast, never through their estimates, so pass e applies
+    the e-th effective update of every sensor at once, each at its own step; a sensor with
+    fewer updates is held. A pass mixes each message it reads once, however many sensors hear
+    it. The estimates after each pass are reduced over the runs, and a sensor's sums at step k
+    are those after its last update before k. Returns (sum_err, sum_tilde, m2): the chunk's
+    sums of the error norm and of theta_hat - theta, and the sum of squared deviations of
+    theta_hat - theta from the chunk mean.
     """
     s, tables, seeds = args
     n, d, m, K = s.n, s.d, len(seeds), tables.horizon
@@ -607,7 +602,7 @@ def _chunk_sums(args: tuple[Scenario, StepTables, tuple[int, ...]]) -> tuple[np.
     bounds = np.searchsorted(msgs, np.arange(passes + 1) * (n * K))
     inv = inv.reshape(passes, n, senders.shape[2]) - bounds[:-1, None, None]
     msg_sender, msg_step = msgs // K % n, msgs % K
-    msg_adj = tables.adj[msg_sender, msg_step]
+    msg_adj = np.moveaxis(tables.adj[msg_sender, msg_step], 2, 0)[..., None]  # (d, msgs, d, 1): column r first
     # state (n, d, m), runs innermost: broadcasts run along the m runs, and
     # each sum over the runs is numpy's pairwise sum along a contiguous axis
     th = np.repeat(s.theta_hat0[:, :, None], m, axis=2)
@@ -620,15 +615,12 @@ def _chunk_sums(args: tuple[Scenario, StepTables, tuple[int, ...]]) -> tuple[np.
             if t > 0:
                 e, lo, hi = t - 1, bounds[t - 1], bounds[t]
                 js, ks = msg_sender[lo:hi], msg_step[lo:hi]
-                ybar = np.zeros((hi - lo, d, m))
-                for r in range(d):
-                    ybar += y[js, :, ks - r][:, None, :] * msg_adj[lo:hi, :, r, None]
-                num = np.zeros((n, d, m))
-                for p in range(inv.shape[2]):
-                    dlt = deltas[:, e, p, None, None]
-                    num += dlt * (ybar[inv[e, :, p]] - dlt * th)
+                # column r of each message's adjugate meets its y(k - r)
+                ybar = _mix(msg_adj[:, lo:hi], y[js, :, ks - np.arange(d)[:, None]][:, :, None, :])
+                # member p of every sensor: its delta (n, 1, 1) and its message (n, d, m)
+                new = estimator._fused_step(th, deltas[:, e].T[..., None, None], ybar[inv[e].T], alpha[:, e], den[:, e])
                 # a held sensor, past its last update, keeps its estimate
-                th = np.where(held[:, e], th, th + (alpha[:, e] * num) / den[:, e])
+                th = np.where(held[:, e], th, new)
                 finite[t] = np.isfinite(th).all(axis=(1, 2))
             # each sum starts from +0.0, so an all -0.0 sum reads +0.0
             tilde = th - s.theta[:, None]

@@ -208,6 +208,15 @@ def regressor_table(gen: RegressorGenerator, steps: int) -> np.ndarray:
     return gen.rows(np.arange(_integer(steps, "step count", 0)))
 
 
+def _variances(values) -> tuple[float, ...]:
+    """The noise variances R_1, ..., R_n as floats, each finite and >= 0, else a ValueError naming R_i."""
+    out = _finite(values, "noise variance")
+    for i, r in enumerate(out, start=1):
+        if r < 0.0:
+            raise ValueError(f"noise variance R_{i} must be >= 0, got {r}")
+    return out
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Per-sensor Gaussian noise variances plus the run seed.
@@ -225,10 +234,7 @@ class NoiseModel:
     _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "variances", _finite(self.variances, "noise variance"))
-        for i, r in enumerate(self.variances, start=1):
-            if r < 0.0:
-                raise ValueError(f"noise variance R_{i} must be >= 0, got {r}")
+        object.__setattr__(self, "variances", _variances(self.variances))
         _integer(self.seed, "seed")
         (keys,) = _seed_keys([self.seed], range(1, len(self.variances) + 1)).tolist()
         object.__setattr__(self, "_keys", keys)
@@ -284,7 +290,7 @@ def _seed_keys(seeds, sensors) -> np.ndarray:
 
 def _noise_models(variances: tuple[float, ...], seeds) -> list[NoiseModel]:
     """One NoiseModel per seed, the variances checked once and every sensor's key derived in one pass."""
-    checked = NoiseModel(variances=variances, seed=0).variances
+    checked = _variances(variances)
     models = []
     for seed, keys in zip(seeds, _seed_keys(seeds, range(1, len(variances) + 1)).tolist()):
         nm = object.__new__(NoiseModel)

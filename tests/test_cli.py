@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +30,10 @@ class TestRun:
         assert main(["run", "--scenario", "bogus"]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and "sec5" in err
+
+    def test_unreadable_scenario(self, tmp_path, capsys):
+        assert main(["run", "--scenario", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: cannot read {tmp_path}: Is a directory\n"
 
     def test_unwritable_out(self, capsys):
         assert main(["run", "--steps", "2", "--out", "/nonexistent/x.csv"]) == 2
@@ -337,6 +342,15 @@ class TestCompare:
         monkeypatch.setattr(dremnet.cli, "run_monte_carlo", no_simulation)
         assert main(["compare", "--at", at]) == 1
         assert message in capsys.readouterr().err
+
+
+def test_module_entry_point_in_process(monkeypatch, capsys):
+    # dremnet/__main__.py as `python -m dremnet` runs it, guard included
+    monkeypatch.setattr(sys, "argv", ["dremnet", "run", "--steps", "5"])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("dremnet", run_name="__main__")
+    assert stop.value.code == 0
+    assert "horizon 5" in capsys.readouterr().out
 
 
 def test_module_entry_point():

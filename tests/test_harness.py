@@ -182,6 +182,10 @@ class TestLoading:
         with pytest.raises(ScenarioError, match="sec5"):
             load_scenario("no-such-scenario")
 
+    def test_unreadable_path_raises_os_error(self, tmp_path):
+        with pytest.raises(OSError, match=f"^{re.escape(f'cannot read {tmp_path}: Is a directory')}$"):
+            load_scenario(tmp_path)
+
     def test_parse_error_carries_position(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text('{\n  "model": [,]\n}')
@@ -418,6 +422,17 @@ class TestScenarioValidation:
     def test_negative_variance(self):
         with pytest.raises(ScenarioError, match="variance"):
             tiny_scenario(variances=(-1.0,))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("variances", (1.0, 1.0, 1.0), "noise: expected 4 variances, got 3"),
+            ("mu", (0.1, 0.2, 0.3, 0.4, 0.5), "mu: expected 4 entries, got 5"),
+        ],
+    )
+    def test_one_entry_per_sensor(self, sec5, field, value, message):
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(sec5, **{field: value})
 
     def test_sizes_come_from_graph_and_theta(self, sec5, table_d5):
         for s in (sec5, table_d5, tiny_scenario()):
@@ -944,7 +959,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("name", ["sec5", "periodic_d3", "table_d5"])
     def test_batched_engine_matches_stepper(self, name, request):
-        # the vectorized chunk engine must replay run_single bit for bit
+        # the vectorized chunk engine must equal run_single bit for bit
         from dremnet.harness import _chunk_sums
 
         scenario = request.getfixturevalue(name)
@@ -1117,6 +1132,14 @@ class TestCheckScenario:
         assert report.single_pe_h[1] == 1
         assert report.bounded_ok
         assert all(r <= b for r, b in zip(report.realized_max, report.bounds))
+
+    def test_unbounded_regressor_flagged(self, sec5):
+        # angle_step 0 adds cos(0) = 1 every step: a(k) = 1 + k grows without bound
+        gens = list(sec5.generators)
+        gens[1] = RecursiveCosine(base=(0.0, 1.0), slot=0, initial=1.0, angle_step=0.0)
+        report = check_scenario(dataclasses.replace(sec5, generators=tuple(gens)))
+        assert report.bounds[1] == math.inf and not report.bounded_ok and not report.ok
+        assert "sensor 2: regressor sequence is unbounded" in report.problems
 
     def test_unexcited_network_flagged(self):
         s = tiny_scenario(

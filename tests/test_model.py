@@ -101,6 +101,12 @@ class TestRecursiveCosine:
         gen = RecursiveCosine(base=(0.0,), slot=0, initial=0.0, angle_step=2 * math.pi)
         assert gen.bound == math.inf
 
+    def test_unbounded_when_half_angle_sine_vanishes(self):
+        # 5e-324 is no multiple of 2*pi, but half of it rounds to 0.0, whose sine is 0.0
+        assert 5e-324 % math.tau != 0.0 and math.sin(5e-324 / 2.0) == 0.0
+        gen = RecursiveCosine(base=(0.0, 1.0), slot=0, initial=1.0, angle_step=5e-324)
+        assert gen.bound == math.inf
+
     def test_slot_out_of_range(self):
         with pytest.raises(ValueError):
             RecursiveCosine(base=(1.0, 2.0), slot=2, initial=0.0, angle_step=1.0)
@@ -605,6 +611,20 @@ class TestSeedKeys:
             model._noise_models((1.0, "2"), [1, 2])
         (nm,) = model._noise_models((1, np.float32(0.5)), [3])
         assert nm.variances == (1.0, 0.5) and all(type(v) is float for v in nm.variances)
+
+    def test_batch_models_derive_only_their_seeds_keys(self, monkeypatch):
+        derived, derive = [], model._seed_keys
+        monkeypatch.setattr(model, "_seed_keys", lambda seeds, sensors: derived.append(list(seeds)) or derive(seeds, sensors))
+        model._noise_models((1.0, 2.0), [5, 6])
+        assert derived == [[5, 6]]
+
+    @pytest.mark.parametrize("variances", [(1.0, -2.0), (1.0, math.nan), (math.inf,), (1.0, "2"), (True,)])
+    def test_batch_and_lone_models_share_the_variance_rule(self, variances):
+        with pytest.raises(ValueError) as lone:
+            NoiseModel(variances=variances, seed=1)
+        with pytest.raises(ValueError) as batch:
+            model._noise_models(variances, [1])
+        assert str(batch.value) == str(lone.value)
 
 
 class TestMeasure:

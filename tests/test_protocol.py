@@ -1,19 +1,23 @@
-"""The per-node protocol on Python floats against its array form.
+"""The per-node protocol against its array form.
 
-``update_estimate`` and the DREM mixing step accumulate on Python floats.
-The references below are the numpy forms they replaced; every result must
-match them byte for byte, signed zeros included. The DREM layer that both
+Both engines add through ``drem._mix`` and ``estimator._fused_step``, which
+must give the same bits on Python floats and on float64 arrays. The numpy
+references below are written out independently of both; ``update_estimate``
+(on Python floats) and ``drem.mix`` must match them byte for byte, signed
+zeros included. The DREM layer that both
 engines read is checked message by message against ``drem_transform``, the
 event-indexed chunk engine against the step-indexed loop it replaced, and
 the m = 1 chunk engine against ``run_single``, on scenarios that reach the
 d = 1, the d = 2, the d = 3 cofactor and the d = 5 elimination paths.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from dremnet.drem import DremMessage, _adj_apply, drem_transform, extend
-from dremnet.estimator import HarmonicSchedule, NodeState, update_estimate, updates
+from dremnet.drem import DremMessage, _mix, drem_transform, extend, mix
+from dremnet.estimator import HarmonicSchedule, NodeState, _fused_step, update_estimate, updates
 from dremnet.harness import Scenario, _channel_norm, _chunk_sums, _drem_layer, _noise_free, run_single, step_tables
 from dremnet.model import Constant, NoiseModel, PeriodicList, RecursiveCosine, noise_block
 from dremnet.topology import StaticGraph, neighborhood_values
@@ -127,6 +131,66 @@ def signed_zeros(rng, x, p_zero=0.25, p_neg_zero=0.15):
     return x
 
 
+# signed zeros, subnormals, the smallest normal, +-1e300 and infinities
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e300, -1e300, math.inf, -math.inf]
+
+
+def special_floats(rng, shape):
+    """Normal draws over 10 decades, about a third of them replaced by ``SPECIAL`` values."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-5, 6, size=shape)
+    pick = rng.random(shape) < 0.35
+    x[pick] = rng.choice(SPECIAL, size=shape)[pick]
+    return x
+
+
+def assert_same_floats(got, want):
+    # bit for bit, except that any NaN matches any NaN: its sign and payload are not part of the order
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    assert got.shape == want.shape and (np.isnan(got) == nan).all()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+    return want
+
+
+def assert_outcomes_cover_special_values(want):
+    # a sum from +0.0 never ends at -0.0, so the signed zeros show in the inputs only
+    finite = want[np.isfinite(want)]
+    assert np.isnan(want).any() and np.isposinf(want).any() and np.isneginf(want).any() and (finite == 0.0).any()
+    assert ((finite != 0.0) & (np.abs(finite) < 2.2250738585072014e-308)).any()
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3, 5])
+def test_mix_on_arrays_equals_python_floats(terms):
+    rng, size = np.random.default_rng(400 + terms), 4000
+    w, v = special_floats(rng, (terms, size)), special_floats(rng, (terms, size))
+    # sparse columns, so that sums of many terms also end at zero or a subnormal
+    w[:, : size // 4] = np.where(rng.random((terms, size // 4)) < 0.8, 0.0, w[:, : size // 4])
+    want = [_mix(w[:, e].tolist(), v[:, e].tolist()) for e in range(size)]
+    assert all(type(x) is float for x in want)
+    with np.errstate(all="ignore"):  # overflow and inf - inf, which Python floats pass silently
+        got = _mix(w, v)
+    assert_outcomes_cover_special_values(assert_same_floats(got, want))
+
+
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_fused_step_on_arrays_equals_python_floats(width):
+    rng, size = np.random.default_rng(500 + width), 4000
+    theta = special_floats(rng, size)
+    deltas, ybars = special_floats(rng, (width, size)), special_floats(rng, (width, size))
+    alpha = rng.uniform(0.01, 1.0, size)
+    # a denominator is mu + sum delta^2 > 0; a zero would raise on Python floats
+    den = np.abs(special_floats(rng, size))
+    den[den == 0.0] = 0.5
+    want = [
+        _fused_step(t, ds, ys, a, dn)
+        for t, ds, ys, a, dn in zip(theta.tolist(), deltas.T.tolist(), ybars.T.tolist(), alpha.tolist(), den.tolist())
+    ]
+    assert all(type(x) is float for x in want)
+    with np.errstate(all="ignore"):
+        got = _fused_step(theta, deltas, ybars, alpha, den)
+    assert_outcomes_cover_special_values(assert_same_floats(got, want))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_update_estimate_matches_array_form(d):
     rng = np.random.default_rng(100 + d)
@@ -163,7 +227,7 @@ def test_mixing_matches_array_form(d):
         else:
             adj = signed_zeros(rng, rng.normal(size=(d, d)) * 10.0 ** rng.integers(-3, 4))
         stack = signed_zeros(rng, rng.normal(size=d))
-        assert _adj_apply(adj, stack.tolist()).tobytes() == ref_adj_apply(adj, stack).tobytes()
+        assert mix(0.0, adj, stack).ybar.tobytes() == ref_adj_apply(adj, stack).tobytes()
 
 
 @pytest.mark.parametrize("zeros", [False, True], ids=["noisy", "signed-zeros"])
