@@ -54,6 +54,7 @@ def beta(alpha: float, mu: float, gated_sum: float) -> float:
     _finite((mu,), "mu", positive=True)
     if _finite((gated_sum,), "gated sum")[0] < 0.0:
         raise ValueError(f"gated sum must be nonnegative, got {gated_sum}")
+    _finite((alpha,), "alpha")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     return alpha * gated_sum / (mu + gated_sum)

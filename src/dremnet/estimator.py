@@ -9,12 +9,13 @@ regularizer mu_i. One synchronous round at step k:
 2. gate: the received scalar regressors delta_bar_j pass through when the
    sensor updates; otherwise delta_j = 0 and the estimate holds, which
    ``node_step`` returns without computing the update.
-3. update: every channel l moves by the same normalized step,
+3. update: on an open gate every channel l moves by the same normalized step,
 
        theta_l += alpha(k) * sum_j delta_bar_j (ybar_jl - delta_bar_j theta_l)
                   / (mu_i + sum_j delta_bar_j^2),
 
-   the sums running over the closed in-neighborhood.
+   the sums running over the closed in-neighborhood; ``node_step`` sums
+   delta_bar_j^2 once for both the rule and this denominator.
 4. reset: the counter returns to 0 when the sensor updated, else it ticks up.
 
 The rule plus reset force consecutive effective updates of one sensor at
@@ -26,7 +27,6 @@ module's ``node_step`` and the step tables of ``harness``) calls ``updates``.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -46,7 +46,6 @@ __all__ = [
     "schedule_violations",
     "asymptotic_violations",
     "updates",
-    "update_estimate",
     "node_step",
 ]
 
@@ -66,14 +65,10 @@ class NodeState:
         # exact-type tests first: every state node_step builds has a float64 array, a float mu and an int counter
         if type(th) is not np.ndarray or th.dtype != np.float64:
             object.__setattr__(self, "theta_hat", th := _floats(th, "theta_hat"))
-        if type(mu) is not float and (isinstance(mu, bool) or not isinstance(mu, numbers.Real)):
-            raise ValueError(f"mu must be a number, got {mu!r}")
-        if not 0.0 < mu < math.inf:
-            raise ValueError(f"mu must be finite and positive, got {mu}")
-        if type(counter) is not int and (isinstance(counter, bool) or not isinstance(counter, numbers.Integral)):
-            raise ValueError(f"counter must be an integer, got {counter!r}")
-        if counter < 0:
-            raise ValueError(f"counter must be nonnegative, got {counter}")
+        if type(mu) is not float or not 0.0 < mu < math.inf:
+            _finite((mu,), "mu", positive=True)
+        if type(counter) is not int or counter < 0:
+            _integer(counter, "counter", 0)
         if not all(map(math.isfinite, th.ravel().tolist())):
             raise ValueError("theta_hat must be finite")
 
@@ -121,7 +116,7 @@ StepSchedule = Union[HarmonicSchedule, TableSchedule]
 
 
 def step_size(s: StepSchedule, k: int) -> float:
-    """alpha(k) for a nonnegative integer k (not a bool); always in (0, 1]."""
+    """alpha(k) for a nonnegative integer k (not a bool); in (0, 1] for k < 2**53 (see ``HarmonicSchedule``)."""
     if type(k) is not int or k < 0:
         k = _integer(k, "step index", 0)
     return s.at(k)
@@ -179,30 +174,12 @@ def _fused_step(theta, deltas, ybars, alpha, den):
     """theta + (alpha * sum_j delta_j (ybar_j - delta_j theta)) / den, the one definition of this float order.
 
     The sum adds the closed in-neighbourhood in the order given, from +0.0 as ``drem._mix`` adds, on
-    Python floats (``update_estimate``, per channel) or float64 arrays (the Monte Carlo kernel) alike.
+    Python floats (``node_step``, per channel) or float64 arrays (the Monte Carlo kernel) alike.
     """
     acc = 0.0
     for dl, y in zip(deltas, ybars):
         acc = acc + dl * (y - dl * theta)
     return theta + (alpha * acc) / den
-
-
-def update_estimate(state: NodeState, inbox: Sequence[DremMessage], alpha: float) -> np.ndarray:
-    """One fused LMS step over the open-gate ``inbox``; returns the new estimate, state untouched.
-
-    All channels share the step size and the denominator mu + sum delta_bar^2;
-    with every delta_bar zero the estimate is returned unchanged (same floats),
-    as a closed gate holds it.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    deltas = [m.delta_bar for m in inbox]
-    s = _mix(deltas, deltas)
-    if s == 0.0:
-        return state.theta_hat.copy()
-    den = state.mu + s
-    channels = zip(*(m.ybar.tolist() for m in inbox))
-    return np.array([_fused_step(t, deltas, ys, alpha, den) for t, ys in zip(state.theta_hat.tolist(), channels)])
 
 
 def node_step(
@@ -218,9 +195,10 @@ def node_step(
     ``received`` holds the step-k messages of the in-neighbors (the caller
     assembles them from the graph); ``own`` is the sensor's simultaneous own
     message, completing the closed neighborhood. Returns the successor state
-    and whether the update was effective; a closed gate returns a copy of the estimate, as
-    ``update_estimate`` does for all-zero deltas. The sensor's next broadcast comes from the
-    data pipeline once the k+1 measurement exists.
+    and whether the update was effective. A closed gate returns a copy of the estimate; an
+    open one moves every channel by ``_fused_step`` over the inbox in ascending sensor
+    order, over the denominator mu + sum delta_bar^2 that the rule read. The sensor's next
+    broadcast comes from the data pipeline once the k+1 measurement exists.
     """
     inbox = sorted([own, *received], key=_by_sensor)
     deltas = [m.delta_bar for m in inbox]
@@ -228,5 +206,9 @@ def node_step(
     alpha = step_size(schedule, k)  # on both branches, so a negative k is always refused
     if not updates(state.counter, full, d):
         return NodeState(theta_hat=state.theta_hat.copy(), counter=state.counter + 1, mu=state.mu), False
-    theta_next = update_estimate(state, inbox, alpha)
-    return NodeState(theta_hat=theta_next, counter=0, mu=state.mu), True
+    if not 0.0 < alpha <= 1.0:  # a harmonic c / k can round to 0.0 once k >= 2**53
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    den = state.mu + full
+    channels = zip(*(m.ybar.tolist() for m in inbox))
+    theta_next = [_fused_step(t, deltas, ys, alpha, den) for t, ys in zip(state.theta_hat.tolist(), channels)]
+    return NodeState(theta_hat=np.array(theta_next), counter=0, mu=state.mu), True

@@ -46,6 +46,7 @@ from .model import (
     _floats,
     _integer,
     _noise_models,
+    _variances,
     noise_block,
     regressor_table,
     sample_noise,
@@ -129,12 +130,9 @@ class Scenario:
                 raise ScenarioError(
                     f"generators: sensor {i} emits dimension {gen.dimension}, expected d={self.d}"
                 )
-        object.__setattr__(self, "variances", _finite(self.variances, "noise: variance"))
+        object.__setattr__(self, "variances", _variances(self.variances, "noise: variance"))
         if len(self.variances) != self.n:
             raise ScenarioError(f"noise: expected {self.n} variances, got {len(self.variances)}")
-        for i, r in enumerate(self.variances, start=1):
-            if r < 0.0:
-                raise ScenarioError(f"noise: variance for sensor {i} must be >= 0, got {r}")
         object.__setattr__(self, "mu", _finite(self.mu, "mu: entry"))
         if len(self.mu) != self.n:
             raise ScenarioError(f"mu: expected {self.n} entries, got {len(self.mu)}")

@@ -208,12 +208,12 @@ def regressor_table(gen: RegressorGenerator, steps: int) -> np.ndarray:
     return gen.rows(np.arange(_integer(steps, "step count", 0)))
 
 
-def _variances(values) -> tuple[float, ...]:
-    """The noise variances R_1, ..., R_n as floats, each finite and >= 0, else a ValueError naming R_i."""
-    out = _finite(values, "noise variance")
+def _variances(values, what: str = "noise variance") -> tuple[float, ...]:
+    """The noise variances R_1, ..., R_n as floats, each finite and >= 0, else a ValueError naming ``what`` and R_i."""
+    out = _finite(values, what)
     for i, r in enumerate(out, start=1):
         if r < 0.0:
-            raise ValueError(f"noise variance R_{i} must be >= 0, got {r}")
+            raise ValueError(f"{what} R_{i} must be >= 0, got {r}")
     return out
 
 

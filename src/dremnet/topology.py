@@ -143,7 +143,7 @@ def neighborhood_index(g: GraphSchedule, horizon: int) -> np.ndarray:
     """
     stages: dict[tuple[Edge, ...], tuple[int, int]] = {}  # edge set -> (row, first step)
     # every k of the range is a valid step, so the schedule is read without edges_at's check
-    pos = [stages.setdefault(g.edges_at(k), (len(stages), k))[0] for k in range(horizon)]
+    pos = [stages.setdefault(g.edges_at(k), (len(stages), k))[0] for k in range(_integer(horizon, "horizon", 0))]
     hoods = [
         [closed_in_neighborhood(g, i, k) for i in range(1, g.n + 1)] for _, k in stages.values()
     ]

@@ -58,6 +58,12 @@ class TestBeta:
         with pytest.raises(ValueError):
             beta(0.5, 0.1, -1.0)
 
+    @pytest.mark.parametrize("alpha, message", [("0.5", "'0.5'"), (True, "True")])
+    def test_alpha_must_be_a_number(self, alpha, message):
+        # "0.5" raised a bare TypeError and True gave 0.5
+        with pytest.raises(ValueError, match=f"^alpha must be a number, got {message}$"):
+            beta(alpha, 1.0, 1.0)
+
     def test_nan_refused(self):
         with pytest.raises(ValueError, match="^mu must be finite and positive, got nan$"):
             beta(0.5, math.nan, 1.0)

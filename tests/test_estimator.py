@@ -13,13 +13,19 @@ from dremnet.estimator import (
     node_step,
     schedule_violations,
     step_size,
-    update_estimate,
     updates,
 )
 
 
 def msg(sensor, delta, ybar):
     return DremMessage(ybar=np.asarray(ybar, dtype=float), delta_bar=delta, sensor=sensor)
+
+
+def open_step(state, inbox, alpha):
+    """node_step's estimate with a mature counter and step size alpha; the gate must open."""
+    nxt, eff = node_step(state, 0, inbox[0], inbox[1:], TableSchedule(values=(alpha,)), d=2)
+    assert eff and nxt.counter == 0
+    return nxt.theta_hat
 
 
 class TestStepSchedules:
@@ -148,16 +154,14 @@ class TestStepSchedules:
 
 
 class TestGate:
-    # node_step's gate: closed, the estimate holds as under all-zero deltas;
-    # open, the update reads every delta_bar of the inbox in sensor order
+    # node_step's gate: closed, the estimate holds; open, the update reads
+    # every delta_bar of the inbox in sensor order
     def test_immature_counter_zeroes_deltas(self):
         state = NodeState(theta_hat=np.array([0.25, -1.5]), counter=1, mu=0.1)
         inbox = [msg(1, -0.5, [0.0, 0.0]), msg(2, 1.0, [1.0, 2.0])]
         assert not updates(1, 1.25, d=2)
-        zeroed = [msg(m.sensor, 0.0, m.ybar) for m in inbox]
         nxt, eff = node_step(state, 3, inbox[0], inbox[1:], HarmonicSchedule(c=0.7), d=2)
         assert not eff and nxt.counter == 2
-        assert nxt.theta_hat.tobytes() == update_estimate(state, zeroed, 0.7 / 3).tobytes()
         assert nxt.theta_hat.tobytes() == state.theta_hat.tobytes()
 
     def test_mature_counter_passes_through(self):
@@ -166,7 +170,9 @@ class TestGate:
         inbox = [msg(3, -1.0, [0.5]), msg(1, 1.0, [2.0]), msg(2, 0.0, [9.0])]
         assert updates(2, 2.0, d=2)
         nxt, eff = node_step(state, 4, inbox[0], inbox[1:], TableSchedule(values=(0.5,)), d=2)
-        want = update_estimate(state, sorted(inbox, key=lambda m: m.sensor), 0.5)
+        # sensors 1, 2, 3 in this order, each term added to a sum started from +0.0
+        num = 0.0 + 1.0 * (2.0 - 1.0 * 0.3) + 0.0 * (9.0 - 0.0 * 0.3) + -1.0 * (0.5 - -1.0 * 0.3)
+        want = np.array([0.3 + (0.5 * num) / (0.1 + (0.0 + 1.0 * 1.0 + 0.0 * 0.0 + -1.0 * -1.0))])
         assert eff and nxt.counter == 0
         assert nxt.theta_hat.tobytes() == want.tobytes()
         # 0.5 * (1 * (2 - 0.3) + 0 + (-1) * (0.5 + 0.3)) / (0.1 + 2)
@@ -176,46 +182,53 @@ class TestGate:
         state = NodeState(theta_hat=np.zeros(1), counter=2, mu=0.1)
         own = msg(4, 2.0, [1.0])
         nxt, eff = node_step(state, 2, own, [], TableSchedule(values=(0.5,)), d=2)
-        assert eff and nxt.theta_hat.tobytes() == update_estimate(state, [own], 0.5).tobytes()
+        want = np.array([0.0 + (0.5 * (0.0 + 2.0 * (1.0 - 2.0 * 0.0))) / (0.1 + (0.0 + 2.0 * 2.0))])
+        assert eff and nxt.theta_hat.tobytes() == want.tobytes()
         # 0.5 * 2 * 1 / (0.1 + 4)
         assert nxt.theta_hat[0] == pytest.approx(1.0 / 4.1, rel=1e-12)
 
 
 class TestUpdate:
+    # node_step's open-gate estimate
     def test_hand_value(self):
         # one member: delta=1, ybar=2.5, theta=0, alpha=0.5, mu=0.1
         # step = 0.5 * (1 * 2.5) / (0.1 + 1) = 1.25/1.1
         state = NodeState(theta_hat=np.zeros(1), counter=2, mu=0.1)
-        out = update_estimate(state, (msg(1, 1.0, [2.5]),), alpha=0.5)
+        out = open_step(state, (msg(1, 1.0, [2.5]),), alpha=0.5)
         assert out[0] == 1.1363636363636362
 
     def test_all_zero_deltas_leave_estimate(self):
-        state = NodeState(theta_hat=np.array([1.0, -2.0]), counter=0, mu=0.1)
-        out = update_estimate(state, (msg(1, 0.0, [5.0, 5.0]), msg(2, -0.0, [3.0, 3.0])), alpha=1.0)
-        assert np.array_equal(out, state.theta_hat)
-        assert out is not state.theta_hat  # fresh array
+        # a mature counter, but every delta_bar zero: the gate stays closed
+        state = NodeState(theta_hat=np.array([1.0, -2.0]), counter=2, mu=0.1)
+        own, other = msg(1, 0.0, [5.0, 5.0]), msg(2, -0.0, [3.0, 3.0])
+        nxt, eff = node_step(state, 0, own, [other], TableSchedule(values=(1.0,)), d=2)
+        assert not eff and nxt.theta_hat.tobytes() == state.theta_hat.tobytes()
+        assert nxt.theta_hat is not state.theta_hat  # fresh array
 
     def test_exact_fixed_point(self):
         # ybar = delta * theta_hat leaves the estimate exactly unchanged
         theta = np.array([2.5, -1.0])
         state = NodeState(theta_hat=theta, counter=2, mu=0.1)
-        out = update_estimate(state, (msg(1, 2.0, 2.0 * theta), msg(2, -0.5, -0.5 * theta)), alpha=0.3)
+        out = open_step(state, (msg(1, 2.0, 2.0 * theta), msg(2, -0.5, -0.5 * theta)), alpha=0.3)
         assert np.array_equal(out, theta)
 
     def test_channels_independent(self):
         # permuting channels permutes the result; the update is channelwise
         state1 = NodeState(theta_hat=np.array([0.2, -0.4]), counter=2, mu=0.3)
         state2 = NodeState(theta_hat=state1.theta_hat[::-1].copy(), counter=2, mu=0.3)
-        out1 = update_estimate(state1, (msg(1, 0.7, [1.0, 2.0]),), alpha=0.25)
-        out2 = update_estimate(state2, (msg(1, 0.7, [2.0, 1.0]),), alpha=0.25)
+        out1 = open_step(state1, (msg(1, 0.7, [1.0, 2.0]),), alpha=0.25)
+        out2 = open_step(state2, (msg(1, 0.7, [2.0, 1.0]),), alpha=0.25)
         assert np.array_equal(out1, out2[::-1])
 
     def test_alpha_validated(self):
-        state = NodeState(theta_hat=np.zeros(1), counter=0, mu=0.1)
-        with pytest.raises(ValueError):
-            update_estimate(state, (), alpha=0.0)
-        with pytest.raises(ValueError):
-            update_estimate(state, (), alpha=1.5)
+        # from the smallest normal c, c / k rounds to 0.0 at k = 2**60; an open gate refuses it
+        schedule = HarmonicSchedule(c=sys.float_info.min)
+        assert step_size(schedule, 2**60) == 0.0
+        state = NodeState(theta_hat=np.zeros(1), counter=2, mu=0.1)
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\], got 0\.0$"):
+            node_step(state, 2**60, msg(1, 1.0, [2.5]), [], schedule, d=2)
+        # a closed gate does not refuse it
+        assert node_step(state, 2**60, msg(1, 0.0, [2.5]), [], schedule, d=2)[1] is False
 
 
 class TestCounter:
@@ -287,8 +300,10 @@ class TestNodeStep:
         m1 = msg(1, -0.7322673547034516, [-0.5442589828573099])
         m2 = msg(2, -0.31630015636915454, [0.4116305363741328])
         m3 = msg(3, 1.0425133694426776, [-0.12853466294403426])
-        want = update_estimate(state, [m1, m2, m3], 0.5).tobytes()
-        assert update_estimate(state, [m3, m2, m1], 0.5).tobytes() != want
+        want = open_step(state, [m1, m2, m3], 0.5).tobytes()
+        # the same values under reversed sensor ids are summed in the reverse order
+        reversed_ids = [msg(4 - m.sensor, m.delta_bar, m.ybar) for m in (m1, m2, m3)]
+        assert open_step(state, reversed_ids, 0.5).tobytes() != want
         for received in ([m2, m1], [m1, m2]):
             nxt, eff = node_step(state, 0, m3, received, TableSchedule(values=(0.5,)), d=2)
             assert eff and nxt.theta_hat.tobytes() == want
@@ -299,17 +314,13 @@ class TestNodeStep:
         "counter, deltas", [(1, (1.0, -2.0)), (3, (0.0, -0.0)), (0, (math.nan, 1.0))], ids=["immature", "zero", "nan"]
     )
     def test_closed_gate_holds_the_estimate(self, counter, deltas, bad):
-        # with the gate closed node_step returns the bytes that the update of
-        # the same messages with zero delta_bar returns, in a fresh array,
-        # whatever the ybar values
+        # with the gate closed node_step returns the estimate's bytes in a
+        # fresh array, whatever the ybar values
         state = NodeState(theta_hat=np.array([0.3, -0.0, 5e-324]), counter=counter, mu=0.1)
         own, other = msg(2, deltas[0], [bad, 1.0, -bad]), msg(1, deltas[1], [0.5, bad, 2.0])
-        schedule = HarmonicSchedule(c=0.7)
-        zeroed = [msg(m.sensor, 0.0, m.ybar) for m in (other, own)]
-        want = update_estimate(state, zeroed, step_size(schedule, 7))
-        nxt, eff = node_step(state, 7, own, [other], schedule, d=2)
+        nxt, eff = node_step(state, 7, own, [other], HarmonicSchedule(c=0.7), d=2)
         assert not eff and nxt.counter == counter + 1 and nxt.mu == state.mu
-        assert nxt.theta_hat.tobytes() == want.tobytes() == state.theta_hat.tobytes()
+        assert nxt.theta_hat.tobytes() == state.theta_hat.tobytes()
         assert nxt.theta_hat is not state.theta_hat
 
     @pytest.mark.parametrize("counter, effective", [(0, False), (2, True)])
@@ -355,6 +366,20 @@ class TestState:
         for theta_hat in ([[1, -0.0]], np.array([[1, 2]]), np.array([[0.5, -0.0]], dtype=np.float32)):
             th = NodeState(theta_hat=theta_hat, counter=0, mu=0.1).theta_hat
             assert th.dtype == np.float64 and th.tobytes() == np.array(theta_hat, dtype=float).tobytes()
+
+    @pytest.mark.parametrize(
+        "mu, counter, message",
+        [
+            (-1, 0, "mu must be finite and positive, got -1.0"),
+            (np.float32(0.0), 0, "mu must be finite and positive, got 0.0"),
+            (0.1, -1, "counter must be nonnegative, got -1"),
+            (0.1, np.int64(-2), "counter must be nonnegative, got -2"),
+        ],
+    )
+    def test_mu_and_counter_texts(self, mu, counter, message):
+        # the shared rules model._finite and model._integer word every refusal
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NodeState(theta_hat=np.zeros(2), counter=counter, mu=mu)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -493,6 +493,18 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
             dataclasses.replace(sec5, **{field: value})
 
+    @pytest.mark.parametrize(
+        "variances, message",
+        [
+            ((1.0, -1.0, 1.0, 1.0), "noise: variance R_2 must be >= 0, got -1.0"),
+            ((1.0, 1.0, math.nan, 1.0), "noise: variance must be finite, got nan"),
+        ],
+    )
+    def test_noise_variance_range(self, sec5, variances, message):
+        # the rule NoiseModel applies, under the config's name
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(sec5, variances=variances)
+
     def test_numpy_numbers_stay_valid(self, sec5):
         s = dataclasses.replace(
             sec5,

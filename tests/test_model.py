@@ -292,6 +292,17 @@ class TestNoCoercion:
         assert NoiseModel(variances=(np.float32(0.5), 2), seed=1).variances == (0.5, 2.0)
 
     @pytest.mark.parametrize(
+        "variances, message",
+        [
+            ((1.0, -1.0, 1.0, 1.0), "noise variance R_2 must be >= 0, got -1.0"),
+            ((1.0, 1.0, math.nan, 1.0), "noise variance must be finite, got nan"),
+        ],
+    )
+    def test_noise_variance_range(self, variances, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NoiseModel(variances=variances, seed=1)
+
+    @pytest.mark.parametrize(
         "make",
         [
             lambda: Constant(vector=()),

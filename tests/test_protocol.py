@@ -2,9 +2,9 @@
 
 Both engines add through ``drem._mix`` and ``estimator._fused_step``, which
 must give the same bits on Python floats and on float64 arrays. The numpy
-references below are written out independently of both; ``update_estimate``
-(on Python floats) and ``drem.mix`` must match them byte for byte, signed
-zeros included. The DREM layer that both
+references below are written out independently of both; the estimate of
+``node_step`` (on Python floats) and ``drem.mix`` must match them byte for
+byte, signed zeros included. The DREM layer that both
 engines read is checked message by message against ``drem_transform``, the
 event-indexed chunk engine against the step-indexed loop it replaced, and
 the m = 1 chunk engine against ``run_single``, on scenarios that reach the
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from dremnet.drem import DremMessage, _mix, drem_transform, extend, mix
-from dremnet.estimator import HarmonicSchedule, NodeState, _fused_step, update_estimate, updates
+from dremnet.estimator import HarmonicSchedule, NodeState, TableSchedule, _fused_step, node_step
 from dremnet.harness import Scenario, _channel_norm, _chunk_sums, _drem_layer, _noise_free, run_single, step_tables
 from dremnet.model import Constant, NoiseModel, PeriodicList, RecursiveCosine, noise_block
 from dremnet.topology import StaticGraph, neighborhood_values
@@ -207,14 +207,14 @@ def test_update_estimate_matches_array_form(d):
                 DremMessage(ybar=ybar[j], delta_bar=float(delta[j]), sensor=int(sensors[j]))
                 for j in range(width)
             ]
-            open_ = updates(state.counter, float(delta @ delta), d)
+            alpha = float(rng.uniform(0.01, 1.0))
+            nxt, open_ = node_step(state, 0, inbox[0], inbox[1:], TableSchedule(values=(alpha,)), d)
+            inbox.sort(key=lambda m: m.sensor)  # node_step sums in ascending sensor order
             if not open_:  # a closed gate zeroes every delta
                 inbox = [DremMessage(ybar=m.ybar, delta_bar=0.0, sensor=m.sensor) for m in inbox]
-            alpha = float(rng.uniform(0.01, 1.0))
-            got = update_estimate(state, inbox, alpha)
-            assert got.tobytes() == ref_update_estimate(state, inbox, alpha).tobytes()
+            assert nxt.theta_hat.tobytes() == ref_update_estimate(state, inbox, alpha).tobytes()
             closed += not open_
-            updated += any(m.delta_bar != 0.0 for m in inbox)
+            updated += open_
     assert closed and updated  # both branches ran
 
 

@@ -171,6 +171,24 @@ class TestNeighborhoodSum:
         got = neighborhood_sum(neighborhood_index(g, K), values)
         assert got.tobytes() == self.loop_sum(g, values).tobytes()
 
+    @pytest.mark.parametrize(
+        "horizon, message",
+        [
+            (-1, "horizon must be nonnegative, got -1"),
+            (2.5, "horizon must be an integer, got 2.5"),
+            (True, "horizon must be an integer, got True"),
+        ],
+    )
+    def test_horizon_checked(self, horizon, message):
+        # -1 gave an empty index, 2.5 a bare TypeError and True one step
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            neighborhood_index(ring(3), horizon)
+
+    def test_numpy_horizon_accepted(self):
+        index = neighborhood_index(ring(3), np.int64(2))
+        assert index.shape == (3, 2, 2)
+        assert index.tobytes() == neighborhood_index(ring(3), 2).tobytes()
+
 
 class TestValidation:
     # graphs check their own edges when constructed
